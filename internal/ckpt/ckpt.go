@@ -25,6 +25,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/frame"
 	"repro/internal/storage"
 )
 
@@ -131,21 +132,13 @@ func OpenOn(b storage.Backend, dir string, m Manifest) (*Store, error) {
 	if err != nil {
 		return nil, demote(fmt.Errorf("ckpt: %w", err))
 	}
-	byKey, stats, good, err := recoverJournal(f)
+	byKey := make(map[string][]byte)
+	fs, err := frame.Salvage(f, recTag, maxPayload, replayJournal(byKey))
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("ckpt: journal recovery: %w", err)
 	}
-	// Truncate the torn tail (if any) so appends continue from the last
-	// intact record, then position at the end.
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ckpt: truncating torn tail: %w", err)
-	}
-	if _, err := f.Seek(good, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ckpt: %w", err)
-	}
+	stats := recoverStats(fs, len(byKey))
 	recoverKept.Add(int64(stats.Records))
 	recoverDropped.Add(int64(stats.Dropped))
 	recoverTruncated.Add(stats.TailBytes)
@@ -243,9 +236,11 @@ func ReadJournalOn(b storage.Backend, dir string) ([]string, RecoverStats, error
 		return nil, RecoverStats{}, fmt.Errorf("ckpt: %w", err)
 	}
 	defer f.Close()
-	byKey, stats, _, err := recoverJournal(f)
+	byKey := make(map[string][]byte)
+	_, fs, err := frame.Scan(f, recTag, maxPayload, replayJournal(byKey))
+	stats := recoverStats(fs, len(byKey))
 	if err != nil {
-		return nil, stats, err
+		return nil, stats, fmt.Errorf("ckpt: journal read: %w", err)
 	}
 	keys := make([]string, 0, len(byKey))
 	for k := range byKey {

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/harness"
 	"repro/internal/recorder"
 )
@@ -91,7 +92,7 @@ func TestTornTailSalvage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte(recMagic + "\x40\x00")); err != nil {
+	if _, err := f.Write([]byte(recTag + "\x40\x00")); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -151,7 +152,7 @@ func TestCorruptRecordCutsTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte{0xff}, first.Size()+int64(recHeaderLen)); err != nil {
+	if _, err := f.WriteAt([]byte{0xff}, first.Size()+int64(frame.HeaderLen(len(recTag)))); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -130,10 +130,11 @@ func BuildHB(tr *recorder.Trace) (*HB, error) {
 			if pv == nil {
 				return nil, fmt.Errorf("core: predecessor %v of %v not yet processed (timestamps violate happens-before)", p, n)
 			}
-			for r := range vc {
-				if pv[r] > vc[r] {
-					vc[r] = pv[r]
-				}
+			// Branch-free and bounds-check-free: the compare-and-branch form
+			// ran up to 30% faster or slower depending only on where the
+			// linker placed this loop.
+			for r, v := range pv[:len(vc)] {
+				vc[r] = max(vc[r], v)
 			}
 		}
 		if own := int32(n.idx + 1); own > vc[n.rank] {

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/pfs"
 	"repro/internal/recorder"
+	"repro/internal/wal"
 )
 
 // Fatal hits SIGKILL the process, so everything here arms thresholds the
@@ -83,5 +85,42 @@ func TestPFSOpKillPointsObserveDataPath(t *testing.T) {
 	}
 	if got := KillPointHits("pfs.op.close"); got < 2 {
 		t.Fatalf("pfs.op.close hits = %d, want >= 2", got)
+	}
+}
+
+// TestWALKillPointsFireThroughStorageHook: arming a "wal."-prefixed point
+// installs the storage kill-point hook, and the WAL reports every append
+// stage and drain publish through it — once per acknowledged write.
+func TestWALKillPointsFireThroughStorageHook(t *testing.T) {
+	t.Cleanup(ResetKillPoints)
+	ResetKillPoints()
+	if err := ArmKillPoints("wal.append.torn:1000000"); err != nil {
+		t.Fatal(err)
+	}
+	fs := pfs.New(pfs.Options{Semantics: pfs.Strong})
+	h, _, err := fs.NewClient(0, 0).Open("/f", pfs.OCreat|pfs.ORdwr, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := wal.Open(0, wal.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writes = 3
+	for i := 0; i < writes; i++ {
+		if _, err := l.Write(h, int64(i)*4, []byte("abcd"), uint64(20+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, point := range []string{
+		"wal.append.begin", "wal.append.torn", "wal.append.before-fsync", "wal.append.after-fsync",
+		"wal.drain.before-publish", "wal.drain.after-publish",
+	} {
+		if got := KillPointHits(point); got != writes {
+			t.Errorf("%s hit %d times, want %d", point, got, writes)
+		}
 	}
 }

@@ -7,13 +7,14 @@
 // without the cost or volume of full tracing.
 //
 // Concurrency model: slots hold only atomics. A writer claims a global
-// sequence number with one atomic add, fills the slot's payload fields and
-// publishes the sequence stamp last; a dumper reads the stamp, the payload,
-// then the stamp again, and discards the slot if a concurrent writer moved
-// it. No locks anywhere on the record path, so the recorder is safe to call
-// from under fs.mu, l.mu or a dying signal path. The disabled path is one
-// atomic load and allocates nothing (gated with the other instruments in
-// BenchmarkDisabledOverhead).
+// sequence number with one atomic add, marks the slot's stamp busy (CAS),
+// fills the payload fields and publishes the sequence stamp last; a dumper
+// reads the stamp, the payload, then the stamp again, and discards the slot
+// if it was busy or moved. Only a writer lapping the ring onto a slot still
+// being written waits; otherwise the record path takes no locks, so the
+// recorder is safe to call from under fs.mu, l.mu or a dying signal path.
+// The disabled path is one atomic load and allocates nothing (gated with the
+// other instruments in BenchmarkDisabledOverhead).
 //
 // Event classes (the string names) are interned once at init time into a
 // process-wide table; recording passes the small integer class, so no
@@ -21,15 +22,19 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // FlightClass is an interned event-class name (see FlightClassFor).
@@ -85,9 +90,12 @@ type FlightEvent struct {
 	A, B   int64  // class-specific payload (offset/length, cost, seq...)
 }
 
+// flightBusy marks a slot stamp whose payload is being written.
+const flightBusy = 1 << 63
+
 // flightSlot is all-atomic so concurrent Record and Events never race.
-// stamp is written last (the publish): a reader that sees the same stamp
-// before and after reading the payload got a consistent event.
+// stamp is written last (the publish): a reader that sees the same unbusy
+// stamp before and after reading the payload got a consistent event.
 type flightSlot struct {
 	stamp atomic.Uint64 // seq of the event occupying the slot; 0 = empty
 	wall  atomic.Int64
@@ -142,6 +150,16 @@ func (f *FlightRecorder) Record(class FlightClass, rank int32, trace uint64, a, 
 	}
 	seq := f.next.Add(1)
 	s := &f.slots[(seq-1)&f.mask]
+	for {
+		old := s.stamp.Load()
+		if old > seq && old&flightBusy == 0 {
+			return // a newer event already took the slot
+		}
+		if old&flightBusy == 0 && s.stamp.CompareAndSwap(old, old|flightBusy) {
+			break
+		}
+		runtime.Gosched() // another writer is mid-slot
+	}
 	s.wall.Store(time.Now().UnixNano())
 	s.class.Store(uint32(class))
 	s.rank.Store(rank)
@@ -163,7 +181,7 @@ func (f *FlightRecorder) Events() []FlightEvent {
 	for i := range f.slots {
 		s := &f.slots[i]
 		seq := s.stamp.Load()
-		if seq == 0 {
+		if seq == 0 || seq&flightBusy != 0 {
 			continue
 		}
 		ev := FlightEvent{
@@ -192,32 +210,23 @@ func (f *FlightRecorder) Reset() {
 	f.next.Store(0)
 }
 
-// Dump-file framing, ckpt/wal style: every frame is independently
-// CRC-checked so a dump written by a dying process is salvageable up to
-// its torn tail.
+// Dump-file layout: a file magic, then one frame per entry (DESIGN.md §17),
+// tagged "FLTR" — every frame is independently CRC-checked so a dump
+// written by a dying process is salvageable up to its torn tail.
 //
-//	magic "SFLT1\n\x00\x00" (8)
-//	frames: magic "FLTR" (4) | payload len uint32 LE | CRC-32C(payload) | payload
+//	magic "SFLT1\n\x00\x00" (8) | frames
 //
 // Frame payloads: type byte 0 = class name (class ids are assigned in
-// frame order), type byte 1 = one event (fixed little-endian layout).
+// frame order), type byte 1 = one event (fixed little-endian layout). An
+// empty payload is damage.
 const (
-	flightMagic      = "SFLT1\n\x00\x00"
-	flightFrameMagic = "FLTR"
-	frameClass       = 0
-	frameEvent       = 1
-	maxFlightFrame   = 1 << 16
+	flightMagic    = "SFLT1\n\x00\x00"
+	flightFrameTag = "FLTR"
+	frameClass     = 0
+	frameEvent     = 1
+	maxFlightFrame = 1 << 16
+	flightEventLen = 53
 )
-
-var flightCRC = crc32.MakeTable(crc32.Castagnoli)
-
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [12]byte
-	copy(hdr[:4], flightFrameMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(payload, flightCRC))
-	return append(append(buf, hdr[:]...), payload...)
-}
 
 // EncodeFlightDump renders the recorder's current contents (plus the class
 // table) as a CRC-framed dump.
@@ -226,9 +235,9 @@ func (f *FlightRecorder) EncodeFlightDump() []byte {
 	buf := []byte(flightMagic)
 	for _, name := range flightClassTable() {
 		payload := append([]byte{frameClass}, name...)
-		buf = appendFrame(buf, payload)
+		buf = frame.AppendFrame(buf, flightFrameTag, payload)
 	}
-	var p [53]byte
+	var p [flightEventLen]byte
 	for _, ev := range events {
 		p[0] = frameEvent
 		binary.LittleEndian.PutUint64(p[1:9], ev.Seq)
@@ -239,7 +248,7 @@ func (f *FlightRecorder) EncodeFlightDump() []byte {
 		binary.LittleEndian.PutUint64(p[33:41], uint64(ev.A))
 		binary.LittleEndian.PutUint64(p[41:49], uint64(ev.B))
 		binary.LittleEndian.PutUint32(p[49:53], 0) // reserved
-		buf = appendFrame(buf, p[:])
+		buf = frame.AppendFrame(buf, flightFrameTag, p[:])
 	}
 	return buf
 }
@@ -291,39 +300,25 @@ func LoadFlightDump(path string) (*FlightDump, error) {
 	rest := data[len(flightMagic):]
 	d := &FlightDump{}
 	var classes []string
-	for len(rest) > 0 {
-		if len(rest) < 12 || string(rest[:4]) != flightFrameMagic {
-			d.TornBytes = len(rest)
-			break
-		}
-		n := binary.LittleEndian.Uint32(rest[4:8])
-		if n == 0 || n > maxFlightFrame || int(n) > len(rest)-12 {
-			d.TornBytes = len(rest)
-			break
-		}
-		payload := rest[12 : 12+n]
-		if crc32.Checksum(payload, flightCRC) != binary.LittleEndian.Uint32(rest[8:12]) {
-			d.TornBytes = len(rest)
-			break
-		}
-		rest = rest[12+n:]
-		switch payload[0] {
-		case frameClass:
-			classes = append(classes, string(payload[1:]))
-		case frameEvent:
-			if len(payload) < 53 {
-				d.TornBytes = len(rest) + 12 + int(n)
-				return d, nil
+	_, stats, err := frame.Scan(bytes.NewReader(rest), flightFrameTag, maxFlightFrame, func(p []byte) error {
+		switch {
+		case len(p) == 0:
+			return errBadFlightFrame
+		case p[0] == frameClass:
+			classes = append(classes, string(p[1:]))
+		case p[0] == frameEvent:
+			if len(p) < flightEventLen {
+				return errBadFlightFrame
 			}
 			ev := FlightEvent{
-				Seq:    binary.LittleEndian.Uint64(payload[1:9]),
-				WallNS: int64(binary.LittleEndian.Uint64(payload[9:17])),
-				Rank:   int32(binary.LittleEndian.Uint32(payload[21:25])),
-				Trace:  binary.LittleEndian.Uint64(payload[25:33]),
-				A:      int64(binary.LittleEndian.Uint64(payload[33:41])),
-				B:      int64(binary.LittleEndian.Uint64(payload[41:49])),
+				Seq:    binary.LittleEndian.Uint64(p[1:9]),
+				WallNS: int64(binary.LittleEndian.Uint64(p[9:17])),
+				Rank:   int32(binary.LittleEndian.Uint32(p[21:25])),
+				Trace:  binary.LittleEndian.Uint64(p[25:33]),
+				A:      int64(binary.LittleEndian.Uint64(p[33:41])),
+				B:      int64(binary.LittleEndian.Uint64(p[41:49])),
 			}
-			ci := binary.LittleEndian.Uint32(payload[17:21])
+			ci := binary.LittleEndian.Uint32(p[17:21])
 			if int(ci) < len(classes) {
 				ev.Class = classes[ci]
 			} else {
@@ -331,9 +326,16 @@ func LoadFlightDump(path string) (*FlightDump, error) {
 			}
 			d.Events = append(d.Events, ev)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("obs: flight dump: %w", err)
 	}
+	d.TornBytes = int(stats.TailBytes)
 	return d, nil
 }
+
+var errBadFlightFrame = errors.New("obs: malformed flight frame")
 
 // FormatFlightDump renders a decoded dump for post-mortem reading: events
 // oldest-first with wall-clock offsets from the first event, then an

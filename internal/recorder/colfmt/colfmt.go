@@ -14,8 +14,8 @@
 //	header:  magic "SEMFSCOL1" (9 bytes)
 //	         uvarint rank
 //	         uvarint declared record count   (exact salvage accounting)
-//	blocks:  data blocks, then one dictionary block, each framed as
-//	         u8 kind | u32le payload length | u32le CRC-32C | payload
+//	blocks:  data blocks, then one dictionary block, each one frame
+//	         (DESIGN.md §17) whose 1-byte tag is the block kind
 //	trailer: u64le dictionary-block offset | u64le record count |
 //	         end magic "SEMFSCE1"
 //
@@ -48,9 +48,9 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"repro/internal/frame"
 	"repro/internal/recorder"
 )
 
@@ -61,10 +61,10 @@ const Magic = "SEMFSCOL1"
 // endMagic terminates an intact stream; its absence marks a torn tail.
 const endMagic = "SEMFSCE1"
 
-// Frame kinds.
+// Frame tags: the block kind as one byte.
 const (
-	kindData = 1
-	kindDict = 2
+	tagData = "\x01"
+	tagDict = "\x02"
 )
 
 // Wire limits, mirroring the v1 decoder's forged-header bounds.
@@ -74,16 +74,11 @@ const (
 	maxPayload   = 1 << 28
 	maxString    = 1 << 20
 	maxArgs      = 64
-	frameHdrLen  = 1 + 4 + 4 // kind + length + crc
 	trailerLen   = 8 + 8 + len(endMagic)
 	streamHdrMin = len(Magic) + 2 // magic + at least 1 byte rank + 1 byte count
 	defaultBlock = 4096
 	colSegments  = 8
 )
-
-// castagnoli is the CRC-32C table every frame checksum uses — the same
-// polynomial the ckpt journal and WAL frames use.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // EncodeOptions tunes the encoder.
 type EncodeOptions struct {
@@ -260,7 +255,7 @@ func (enc *streamEncoder) writeDataBlock(records []recorder.Record) error {
 		enc.payload = binary.AppendUvarint(enc.payload, uint64(len(col)))
 		enc.payload = append(enc.payload, col...)
 	}
-	return enc.writeFrame(kindData, enc.payload)
+	return enc.writeFrame(tagData, enc.payload)
 }
 
 func (enc *streamEncoder) writeDictBlock() error {
@@ -270,18 +265,14 @@ func (enc *streamEncoder) writeDictBlock() error {
 		enc.payload = binary.AppendUvarint(enc.payload, uint64(len(s)))
 		enc.payload = append(enc.payload, s...)
 	}
-	return enc.writeFrame(kindDict, enc.payload)
+	return enc.writeFrame(tagDict, enc.payload)
 }
 
-func (enc *streamEncoder) writeFrame(kind byte, payload []byte) error {
+func (enc *streamEncoder) writeFrame(tag string, payload []byte) error {
 	if len(payload) > maxPayload {
 		return fmt.Errorf("colfmt: block payload %d exceeds %d bytes", len(payload), maxPayload)
 	}
-	var hdr [frameHdrLen]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:], crc32.Checksum(payload, castagnoli))
-	if _, err := enc.w.Write(hdr[:]); err != nil {
+	if _, err := enc.w.Write(frame.AppendHeader(enc.scratch[:0], tag, payload)); err != nil {
 		return err
 	}
 	_, err := enc.w.Write(payload)

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/recorder"
 	"repro/internal/storage"
 )
@@ -226,11 +227,11 @@ func TestCorruptBlockSkip(t *testing.T) {
 	_, off, _ = uvarintAt(data, off)
 	_, off, _ = uvarintAt(data, off)
 	for b := 0; b < 2; b++ {
-		plen := int(uint32(data[off+1]) | uint32(data[off+2])<<8 | uint32(data[off+3])<<16 | uint32(data[off+4])<<24)
-		off += frameHdrLen + plen
+		_, _, n, _ := frame.Parse(data[off:], len(tagData), maxPayload)
+		off += n
 	}
 	mut := bytes.Clone(data)
-	mut[off+frameHdrLen+3] ^= 0xff
+	mut[off+frame.HeaderLen(len(tagData))+3] ^= 0xff
 
 	r, err := NewReader(mut)
 	if err != nil {
@@ -415,10 +416,10 @@ func TestLoadDirLenientTornFixture(t *testing.T) {
 		_, off, _ = uvarintAt(data, off)
 		_, off, _ = uvarintAt(data, off)
 		for blk := 0; blk < 3; blk++ { // walk to the fourth block's payload
-			plen := int(uint32(data[off+1]) | uint32(data[off+2])<<8 | uint32(data[off+3])<<16 | uint32(data[off+4])<<24)
-			off += frameHdrLen + plen
+			_, _, n, _ := frame.Parse(data[off:], len(tagData), maxPayload)
+			off += n
 		}
-		data[off+frameHdrLen+2] ^= 0xff
+		data[off+frame.HeaderLen(len(tagData))+2] ^= 0xff
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -3,8 +3,8 @@ package colfmt
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
+	"repro/internal/frame"
 	"repro/internal/recorder"
 )
 
@@ -77,10 +77,11 @@ func NewReader(data []byte) (*Reader, error) {
 // dictionary incrementally from per-block deltas instead.
 func (r *Reader) probeFooter() {
 	data := r.data
-	if len(data) < r.blockOff+frameHdrLen+1+trailerLen {
+	if len(data) < r.blockOff+trailerLen {
 		return
 	}
-	tr := data[len(data)-trailerLen:]
+	end := len(data) - trailerLen
+	tr := data[end:]
 	if string(tr[16:]) != endMagic {
 		return
 	}
@@ -89,20 +90,12 @@ func (r *Reader) probeFooter() {
 	if count != r.declared {
 		return
 	}
-	if dictOff < uint64(r.blockOff) || dictOff > uint64(len(data)-trailerLen-frameHdrLen) {
+	if dictOff < uint64(r.blockOff) || dictOff > uint64(end) {
 		return
 	}
 	fo := int(dictOff)
-	if data[fo] != kindDict {
-		return
-	}
-	plen := binary.LittleEndian.Uint32(data[fo+1:])
-	wantCRC := binary.LittleEndian.Uint32(data[fo+5:])
-	if uint64(plen) > maxPayload || fo+frameHdrLen+int(plen) != len(data)-trailerLen {
-		return
-	}
-	payload := data[fo+frameHdrLen : fo+frameHdrLen+int(plen)]
-	if crc32.Checksum(payload, castagnoli) != wantCRC {
+	tag, payload, n, err := frame.Parse(data[fo:end], len(tagDict), maxPayload)
+	if err != nil || string(tag) != tagDict || n != end-fo {
 		return
 	}
 	dict, ok := parseDict(payload, nil)
@@ -294,37 +287,28 @@ func (c *Cursor) nextBlock() bool {
 			}
 			return c.finish()
 		}
-		if c.incr && c.off == len(data) {
+		tag, payload, n, err := frame.Parse(data[c.off:], len(tagData), maxPayload)
+		switch err {
+		case frame.Short:
 			return c.failTorn()
+		case frame.TooLarge:
+			return c.failCorrupt(c.block, "payload length exceeds %d", maxPayload)
 		}
-		if c.off+frameHdrLen > len(data) {
-			return c.failTorn()
-		}
-		kind := data[c.off]
-		plen := int(binary.LittleEndian.Uint32(data[c.off+1:]))
-		wantCRC := binary.LittleEndian.Uint32(data[c.off+5:])
-		if plen > maxPayload {
-			return c.failCorrupt(c.block, "payload length %d exceeds %d", plen, maxPayload)
-		}
-		start := c.off + frameHdrLen
-		if start+plen > len(data) {
-			return c.failTorn()
-		}
-		payload := data[start : start+plen]
+		crcOK := err == nil
 		block := c.block
-		c.off = start + plen
+		c.off += n
 		c.block++
-		switch kind {
-		case kindDict:
+		switch string(tag) {
+		case tagDict:
 			// Incremental mode only (footer mode never reaches a dict frame):
 			// the trailer was damaged but the dictionary survived. All data
 			// frames precede it, so a count match means a complete walk.
-			if crc32.Checksum(payload, castagnoli) != wantCRC {
+			if !crcOK {
 				return c.failCorrupt(block, "dictionary CRC mismatch")
 			}
 			return c.finish()
-		case kindData:
-			if crc32.Checksum(payload, castagnoli) != wantCRC {
+		case tagData:
+			if !crcOK {
 				if c.skippable(block, "CRC mismatch") {
 					continue
 				}

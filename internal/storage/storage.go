@@ -26,9 +26,10 @@
 // write-through) and ckpt (demote to config error) layers consume.
 //
 // The package sits below internal/faults in the import order (faults
-// imports wal imports storage), so process-kill points use the same
-// hook indirection as internal/wal: faults installs its Hit counter via
-// SetKillPointHook when a "storage."-prefixed point is armed.
+// imports wal imports storage), so process-kill points go through a hook:
+// faults installs its Hit counter via SetKillPointHook when a "storage."- or
+// "wal."-prefixed point is armed, and wal reports its points through
+// HitKillPoint.
 package storage
 
 import (

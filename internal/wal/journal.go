@@ -1,22 +1,20 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"math"
+	"time"
 
+	"repro/internal/frame"
 	"repro/internal/storage"
 )
 
-// On-disk record framing for the host-side write-ahead log. Same shape as
-// the ckpt journal ("CKJR") so the torn-tail salvage argument carries over:
-//
-//	magic "WALR" (4) | payload len uint32 LE | CRC-32C(payload) uint32 LE | payload
-//
-// payload encodes one acknowledged write:
+// On-disk record framing for the host-side write-ahead log: one frame per
+// acknowledged write (DESIGN.md §17), tagged "WALR" — the ckpt journal's
+// shape, so the torn-tail salvage argument carries over. The payload is
 //
 //	uvarint len(path) | path | uvarint off | uvarint now | data
 //
@@ -25,12 +23,9 @@ import (
 // after a crash at most the final record is torn; recovery keeps every
 // complete record and truncates the tail.
 const (
-	recMagic     = "WALR"
-	recHeaderLen = 4 + 4 + 4
-	maxPayload   = 1 << 30
+	recTag     = "WALR"
+	maxPayload = 1 << 30
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Record is one acknowledged-but-possibly-undrained write as persisted in a
 // per-rank log file.
@@ -66,7 +61,9 @@ func decodePayload(payload []byte) (Record, error) {
 	path := string(rest[:plen])
 	rest = rest[plen:]
 	off, n := binary.Uvarint(rest)
-	if n <= 0 {
+	if n <= 0 || off > math.MaxInt64 {
+		// The encoder refuses negative offsets, so one that decodes negative
+		// was never acknowledged.
 		return Record{}, errors.New("wal: corrupt offset")
 	}
 	rest = rest[n:]
@@ -78,41 +75,43 @@ func decodePayload(payload []byte) (Record, error) {
 	return Record{Path: path, Off: int64(off), Now: now, Data: data}, nil
 }
 
-// appendRecord frames, appends and (unless noFsync) fsyncs one record. The
-// two half-writes with a kill point between them are what make the
-// kill-and-recover harness able to manufacture a genuinely torn tail; the
-// before/after-fsync points bracket the durability boundary — a write is
+// appendPoints names the kill point of each frame.Append stage. The torn
+// point is what lets the kill-and-recover harness manufacture a genuinely
+// torn tail; before/after-fsync bracket the durability boundary — a write is
 // acked iff the crash lands after wal.append.after-fsync.
+var appendPoints = [...]string{
+	frame.Begin:      "wal.append.begin",
+	frame.Torn:       "wal.append.torn",
+	frame.BeforeSync: "wal.append.before-fsync",
+	frame.AfterSync:  "wal.append.after-fsync",
+}
+
+func hitAppendPoint(s frame.Stage) { storage.HitKillPoint(appendPoints[s]) }
+
+// appendRecord frames, appends and (unless noFsync) fsyncs one record.
 func appendRecord(f storage.File, rec Record, noFsync bool) (int64, error) {
 	payload, err := encodePayload(rec)
 	if err != nil {
 		return 0, err
 	}
-	hdr := make([]byte, recHeaderLen)
-	copy(hdr, recMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.Checksum(payload, castagnoli))
-	frame := append(hdr, payload...)
-
-	hitKillPoint("wal.append.begin")
-	half := len(frame) / 2
-	if _, err := f.Write(frame[:half]); err != nil {
-		return 0, err
-	}
-	hitKillPoint("wal.append.torn")
-	if _, err := f.Write(frame[half:]); err != nil {
-		return 0, err
-	}
-	hitKillPoint("wal.append.before-fsync")
+	var sync func() error
 	if !noFsync {
-		if err := fsyncTimed(f); err != nil {
-			return 0, err
+		// Host wall time, not simulated: the one genuinely nondeterministic
+		// instrument in the package, same caveat as ckpt.journal.fsync_ns.
+		sync = func() error {
+			start := time.Now()
+			err := f.Sync()
+			appendFsyncNS.Observe(time.Since(start).Nanoseconds())
+			return err
 		}
 	}
-	hitKillPoint("wal.append.after-fsync")
+	n, err := frame.Append(f, recTag, payload, hitAppendPoint, sync)
+	if err != nil {
+		return 0, err
+	}
 	appendRecords.Inc()
-	appendBytes.Add(int64(len(frame)))
-	return int64(len(frame)), nil
+	appendBytes.Add(int64(n))
+	return int64(n), nil
 }
 
 // RecoverStats summarizes one log file's salvage.
@@ -126,77 +125,18 @@ func (s RecoverStats) String() string {
 	return fmt.Sprintf("records=%d dropped=%d tail_bytes=%d", s.Records, s.Dropped, s.TailBytes)
 }
 
-type countingReader struct {
-	r *bufio.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// recoverRecords scans a log stream, returning every complete record in
-// append order plus the byte offset of the end of the last good record —
-// the offset the caller truncates to before resuming appends. Exactly like
-// the ckpt journal, the scan stops at the first torn or corrupt frame:
-// anything after it was never acknowledged.
+// recoverRecords decodes the valid prefix of a log stream: every complete
+// record in append order, plus the offset the prefix ends at. A record that
+// does not decode ends the prefix like a checksum failure — anything after
+// it was never acknowledged.
 func recoverRecords(r io.Reader) ([]Record, RecoverStats, int64, error) {
-	cr := &countingReader{r: bufio.NewReader(r)}
-	var (
-		recs  []Record
-		stats RecoverStats
-		good  int64
-	)
-	hdr := make([]byte, recHeaderLen)
-	for {
-		if _, err := io.ReadFull(cr, hdr); err != nil {
-			if errors.Is(err, io.EOF) {
-				break // clean end
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				stats.Dropped++
-				break // torn header
-			}
-			return nil, stats, good, err
+	var recs []Record
+	end, s, err := frame.Scan(r, recTag, maxPayload, func(p []byte) error {
+		rec, err := decodePayload(p)
+		if err == nil {
+			recs = append(recs, rec)
 		}
-		if string(hdr[:4]) != recMagic {
-			stats.Dropped++
-			break
-		}
-		plen := binary.LittleEndian.Uint32(hdr[4:])
-		want := binary.LittleEndian.Uint32(hdr[8:])
-		if plen > maxPayload {
-			stats.Dropped++
-			break
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(cr, payload); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				stats.Dropped++
-				break // torn payload
-			}
-			return nil, stats, good, err
-		}
-		if crc32.Checksum(payload, castagnoli) != want {
-			stats.Dropped++
-			break
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			stats.Dropped++
-			break
-		}
-		recs = append(recs, rec)
-		stats.Records++
-		good = cr.n
-	}
-	// Whatever remains after the last intact record is tail damage: drain it
-	// so the count covers unread bytes too.
-	if _, err := io.Copy(io.Discard, cr); err != nil {
-		return nil, stats, good, fmt.Errorf("wal: log read: %w", err)
-	}
-	stats.TailBytes = cr.n - good
-	return recs, stats, good, nil
+		return err
+	})
+	return recs, RecoverStats{Records: s.Frames, Dropped: s.Dropped, TailBytes: s.TailBytes}, end, err
 }

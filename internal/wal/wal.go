@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/obs"
 	"repro/internal/pfs"
 	"repro/internal/storage"
@@ -51,7 +52,7 @@ type Options struct {
 	// the record is dropped and the error surfaced. Default 6.
 	MaxRetries int
 	// Retry shapes the drain retry backoff (zero value = package defaults).
-	Retry Backoff
+	Retry storage.Backoff
 	// AckBaseNS and AckBytesPerNS price the simulated acknowledgement of a
 	// logged write: cost = AckBaseNS + len/AckBytesPerNS. The defaults
 	// (1500ns + 1ns per 8 bytes) model a node-local NVMe append — far under
@@ -158,23 +159,18 @@ func Open(rank int, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	recs, _, good, err := recoverRecords(f)
+	salvaged, err := frame.Salvage(f, recTag, maxPayload, func(p []byte) error {
+		_, err := decodePayload(p)
+		return err
+	})
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("wal: salvaging %s: %w", path, err)
 	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
-	}
-	if _, err := f.Seek(good, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: %w", err)
-	}
 	l := &Log{rank: rank, opts: opts, dir: dir, ownsDir: ownsDir, file: f,
 		done: make(chan struct{})}
 	l.cond = sync.NewCond(&l.mu)
-	l.stats.Salvaged = len(recs)
+	l.stats.Salvaged = salvaged.Frames
 	go l.drainLoop()
 	return l, nil
 }
@@ -375,7 +371,7 @@ func (l *Log) drainStepLocked() error {
 		return nil
 	}
 	rec := l.queue[0]
-	hitKillPoint("wal.drain.before-publish")
+	storage.HitKillPoint("wal.drain.before-publish")
 	// The publish span continues the write's causal trace on the drainer
 	// side of the queue hand-off; the trace ID also lands in the pfs
 	// history event, tying the consistency checker's view to this chain.
@@ -402,7 +398,7 @@ func (l *Log) drainStepLocked() error {
 		drainErrors.Inc()
 		return fmt.Errorf("wal: drain rank %d %s+%d: %w", l.rank, rec.h.Path(), rec.off, err)
 	}
-	hitKillPoint("wal.drain.after-publish")
+	storage.HitKillPoint("wal.drain.after-publish")
 	psp.End()
 	// Visibility instant: a zero-length span closing the chain, plus the
 	// real (host wall clock) ack-to-visible lag under the write's model.

@@ -2,13 +2,16 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/pfs"
+	"repro/internal/storage"
 )
 
 func mustOpen(t *testing.T, fs *pfs.FileSystem, rank int, path string) *pfs.Handle {
@@ -121,6 +124,36 @@ func TestRecoverTornTail(t *testing.T) {
 		}
 	}
 	f.Close()
+}
+
+// TestRecoverRejectsNegativeOffset: a CRC-valid frame whose offset uvarint
+// decodes past MaxInt64 (negative as int64) was never acknowledged — the
+// encoder refuses negative offsets — so recovery drops it instead of
+// replaying a write at a negative offset.
+func TestRecoverRejectsNegativeOffset(t *testing.T) {
+	okPayload, err := encodePayload(Record{Path: "/f", Off: 8, Now: 10, Data: []byte("ok")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := bytes.NewBuffer(frame.AppendFrame(nil, recTag, okPayload))
+	goodEnd := int64(log.Len())
+	payload := binary.AppendUvarint(nil, 2)
+	payload = append(payload, "/f"...)
+	payload = binary.AppendUvarint(payload, 1<<63)
+	payload = binary.AppendUvarint(payload, 20)
+	payload = append(payload, "bad"...)
+	log.Write(frame.AppendFrame(nil, recTag, payload))
+
+	recs, stats, end, err := recoverRecords(bytes.NewReader(log.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Off != 8 {
+		t.Fatalf("recovered %+v, want only the offset-8 record", recs)
+	}
+	if stats.Records != 1 || stats.Dropped != 1 || end != goodEnd || stats.TailBytes != int64(log.Len())-goodEnd {
+		t.Fatalf("stats = %v end = %d, want 1 kept, 1 dropped, prefix ending at %d", stats, end, goodEnd)
+	}
 }
 
 func TestOpenSalvagesAndResumesAppends(t *testing.T) {
@@ -305,7 +338,7 @@ func TestDrainRetriesTransientWithBackoff(t *testing.T) {
 	fs := pfs.New(pfs.Options{Semantics: pfs.Strong, Retry: pfs.RetryPolicy{MaxRetries: -1}})
 	h := mustOpen(t, fs, 0, "/f")
 	fs.SetInjector(&transientInjector{remaining: 1 << 30})
-	l := noDrainLog(t, Options{MaxRetries: 3, Retry: Backoff{BaseNS: 1000, CapNS: 10_000}})
+	l := noDrainLog(t, Options{MaxRetries: 3, Retry: storage.Backoff{BaseNS: 1000, CapNS: 10_000}})
 
 	if _, err := l.Write(h, 0, []byte("x"), 20); err != nil {
 		t.Fatal(err)
@@ -363,7 +396,7 @@ func TestCloseDrainsEverything(t *testing.T) {
 }
 
 func TestBackoffJitterBounds(t *testing.T) {
-	b := Backoff{BaseNS: 100_000, Multiplier: 2, CapNS: 1 << 30, Seed: 42}
+	b := storage.Backoff{BaseNS: 100_000, Multiplier: 2, CapNS: 1 << 30, Seed: 42}
 	nominal := uint64(100_000)
 	for attempt := 0; attempt < 20; attempt++ {
 		d := b.Delay(attempt)
