@@ -280,22 +280,35 @@ func (w *countWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p
 func (w *countWriter) WriteString(s string) (int, error) { w.n += len(s); return len(s), nil }
 
 // BenchmarkHappensBefore measures happens-before reconstruction and
-// conflict-order validation on a communication-heavy trace.
+// conflict-order validation on FLASH-fbs, whose collectives span every
+// rank, at the rank counts the paper studied. The trace and its conflicts
+// are produced outside the timer; allocs/op and B/op track the clock slab
+// and are machine-independent.
 func BenchmarkHappensBefore(b *testing.B) {
-	res := allResults(b)
-	tr := res.ByName["MACSio-Silo"].Trace
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hb, err := core.BuildHB(tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		byFile, _ := core.AnalyzeConflicts(tr, pfs.Session)
-		for _, cs := range byFile {
-			if un := core.ValidateConflicts(hb, cs); len(un) > 0 {
-				b.Fatal("unsynchronized conflicts")
+	for _, ranks := range []int{64, 256} {
+		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
+			res, err := Run("FLASH-fbs", RunOptions{Ranks: ranks, PPN: 8, Semantics: Strong})
+			if err == nil {
+				err = res.Err()
 			}
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			byFile, _ := core.AnalyzeConflicts(res.Trace, pfs.Session)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hb, err := core.BuildHB(res.Trace)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, cs := range byFile {
+					if un := core.ValidateConflicts(hb, cs); len(un) > 0 {
+						b.Fatal("unsynchronized conflicts")
+					}
+				}
+			}
+		})
 	}
 }
 

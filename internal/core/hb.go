@@ -25,14 +25,36 @@ type hbEvent struct {
 
 type nodeID struct{ rank, idx int }
 
+// hbLink is an event's one cross-rank predecessor, if any. The program-order
+// predecessor (idx-1 on the same rank) is implicit.
+type hbLink struct {
+	send nodeID // matched send of a receive; rank -1 otherwise
+	coll int32  // collective instance the event joins; -1 for p2p
+}
+
+// collInst is one collective instance: its participants and, once the first
+// participant is walked, the join of their program-order predecessors.
+type collInst struct {
+	parts []nodeID
+	join  []int32
+}
+
 // BuildHB reconstructs the happens-before relation. Send k from r to s with
 // a tag matches receive k on s from r with that tag; collective records
 // match by their sequence-number argument.
+//
+// A collective instance is a virtual join node: every participant's
+// program-order predecessor happens-before it, and it happens-before every
+// participant's completion. Its clock is one max-merge over the
+// predecessors, which each participant inherits before bumping its own
+// entry — O(C·R²) for C instances over R ranks, plus O(P·R) for P
+// point-to-point and program-order events.
 func BuildHB(tr *recorder.Trace) (*HB, error) {
 	hb := &HB{ranks: len(tr.PerRank)}
 	hb.events = make([][]hbEvent, hb.ranks)
 
 	// Collect MPI events per rank.
+	total := 0
 	for rank, rs := range tr.PerRank {
 		for i := range rs {
 			if rs[i].Layer != recorder.LayerMPI {
@@ -44,37 +66,44 @@ func BuildHB(tr *recorder.Trace) (*HB, error) {
 			}
 			hb.events[rank] = append(hb.events[rank], hbEvent{rec: &rs[i], seq: seq})
 		}
+		total += len(hb.events[rank])
 	}
 
-	// Build edges: program order, send→recv, collective joins (via a
-	// virtual node joining every participant's predecessor).
-	preds := make(map[nodeID][]nodeID)
+	// Cross-rank edges: send→recv and collective joins.
+	links := make([][]hbLink, hb.ranks)
 	sendQueues := make(map[[3]int][]nodeID) // (src,dst,tag) -> send nodes in order
 	recvCount := make(map[[3]int]int)
-	collParts := make(map[int64][]nodeID)
-
-	for rank := range hb.events {
-		for i := range hb.events[rank] {
+	instOf := make(map[int64]int32) // collective seq -> index into insts
+	var insts []collInst
+	for rank, evs := range hb.events {
+		links[rank] = make([]hbLink, len(evs))
+		for i := range evs {
 			n := nodeID{rank, i}
-			if i > 0 {
-				preds[n] = append(preds[n], nodeID{rank, i - 1})
-			}
-			ev := &hb.events[rank][i]
+			l := &links[rank][i]
+			*l = hbLink{send: nodeID{-1, -1}, coll: -1}
+			ev := &evs[i]
 			switch ev.rec.Func {
 			case recorder.FuncMPISend:
 				key := [3]int{rank, int(ev.rec.Arg(0)), int(ev.rec.Arg(1))}
 				sendQueues[key] = append(sendQueues[key], n)
 			default:
 				if ev.seq >= 0 {
-					collParts[ev.seq] = append(collParts[ev.seq], n)
+					k, ok := instOf[ev.seq]
+					if !ok {
+						k = int32(len(insts))
+						instOf[ev.seq] = k
+						insts = append(insts, collInst{})
+					}
+					insts[k].parts = append(insts[k].parts, n)
+					l.coll = k
 				}
 			}
 		}
 	}
 	// Match receives to sends.
-	for rank := range hb.events {
-		for i := range hb.events[rank] {
-			ev := &hb.events[rank][i]
+	for rank, evs := range hb.events {
+		for i := range evs {
+			ev := &evs[i]
 			if ev.rec.Func != recorder.FuncMPIRecv {
 				continue
 			}
@@ -86,62 +115,91 @@ func BuildHB(tr *recorder.Trace) (*HB, error) {
 				return nil, fmt.Errorf("core: receive %d on rank %d from %d tag %d has no matching send",
 					k, rank, ev.rec.Arg(0), ev.rec.Arg(1))
 			}
-			n := nodeID{rank, i}
-			preds[n] = append(preds[n], sends[k])
-		}
-	}
-	// Collectives: every participant's predecessor happens-before every
-	// participant's completion.
-	for _, parts := range collParts {
-		for _, a := range parts {
-			if a.idx == 0 {
-				continue
-			}
-			pred := nodeID{a.rank, a.idx - 1}
-			for _, b := range parts {
-				if b != a {
-					preds[b] = append(preds[b], pred)
-				}
-			}
+			links[rank][i].send = sends[k]
 		}
 	}
 
 	// Vector clocks in timestamp order (simulation timestamps respect the
 	// edges, so a single pass by TStart is a valid topological order).
-	order := make([]nodeID, 0)
-	for rank := range hb.events {
-		for i := range hb.events[rank] {
-			order = append(order, nodeID{rank, i})
+	// The sort keys sit inline so comparisons stay in cache.
+	type walkKey struct {
+		tEnd, tStart uint64
+		n            nodeID
+	}
+	order := make([]walkKey, 0, total)
+	for rank, evs := range hb.events {
+		for i := range evs {
+			order = append(order, walkKey{evs[i].rec.TEnd, evs[i].rec.TStart, nodeID{rank, i}})
 		}
 	}
 	sort.Slice(order, func(a, b int) bool {
-		ea := hb.events[order[a].rank][order[a].idx].rec
-		eb := hb.events[order[b].rank][order[b].idx].rec
-		if ea.TEnd != eb.TEnd {
-			return ea.TEnd < eb.TEnd
+		if order[a].tEnd != order[b].tEnd {
+			return order[a].tEnd < order[b].tEnd
 		}
-		return ea.TStart < eb.TStart
+		return order[a].tStart < order[b].tStart
 	})
-	for _, n := range order {
-		ev := &hb.events[n.rank][n.idx]
-		vc := make([]int32, hb.ranks)
-		for _, p := range preds[n] {
-			pv := hb.events[p.rank][p.idx].vc
-			if pv == nil {
-				return nil, fmt.Errorf("core: predecessor %v of %v not yet processed (timestamps violate happens-before)", p, n)
+	// Every clock, join vectors included, is carved from one slab.
+	slab := make([]int32, (total+len(insts))*hb.ranks)
+	alloc := func() []int32 {
+		vc := slab[:hb.ranks:hb.ranks]
+		slab = slab[hb.ranks:]
+		return vc
+	}
+	var merges int64
+	merge := func(vc []int32, p, n nodeID) error {
+		pv := hb.events[p.rank][p.idx].vc
+		if pv == nil {
+			return fmt.Errorf("core: predecessor %v of %v not yet processed (timestamps violate happens-before)", p, n)
+		}
+		// Branch-free and bounds-check-free: the compare-and-branch form
+		// ran up to 30% faster or slower depending only on where the
+		// linker placed this loop.
+		for r, v := range pv[:len(vc)] {
+			vc[r] = max(vc[r], v)
+		}
+		merges += int64(len(vc))
+		return nil
+	}
+	for _, k := range order {
+		n := k.n
+		vc := alloc()
+		l := links[n.rank][n.idx]
+		if l.coll >= 0 {
+			inst := &insts[l.coll]
+			if inst.join == nil {
+				join := alloc()
+				for _, q := range inst.parts {
+					if q.idx == 0 {
+						continue
+					}
+					if err := merge(join, nodeID{q.rank, q.idx - 1}, n); err != nil {
+						return nil, err
+					}
+				}
+				inst.join = join
 			}
-			// Branch-free and bounds-check-free: the compare-and-branch form
-			// ran up to 30% faster or slower depending only on where the
-			// linker placed this loop.
-			for r, v := range pv[:len(vc)] {
-				vc[r] = max(vc[r], v)
+			copy(vc, inst.join)
+			merges += int64(len(vc))
+		} else {
+			if n.idx > 0 {
+				if err := merge(vc, nodeID{n.rank, n.idx - 1}, n); err != nil {
+					return nil, err
+				}
+			}
+			if l.send.rank >= 0 {
+				if err := merge(vc, l.send, n); err != nil {
+					return nil, err
+				}
 			}
 		}
 		if own := int32(n.idx + 1); own > vc[n.rank] {
 			vc[n.rank] = own
 		}
-		ev.vc = vc
+		hb.events[n.rank][n.idx].vc = vc
 	}
+	hbEvents.Add(int64(total))
+	hbCollectives.Add(int64(len(insts)))
+	hbMergeOps.Add(merges)
 	return hb, nil
 }
 
@@ -179,24 +237,21 @@ func (hb *HB) OrderedIO(rankA int32, tAEnd uint64, rankB int32, tB uint64) bool 
 	return ey.vc[rankA] >= int32(x+1)
 }
 
+// firstEventAtOrAfter and lastEventAtOrBefore binary-search a rank's MPI
+// events: a rank's calls do not overlap, so TStart and TEnd are both
+// monotone in stream order.
 func (hb *HB) firstEventAtOrAfter(rank int, t uint64) int {
 	evs := hb.events[rank]
-	for i := range evs {
-		if evs[i].rec.TStart >= t {
-			return i
-		}
+	i := sort.Search(len(evs), func(i int) bool { return evs[i].rec.TStart >= t })
+	if i == len(evs) {
+		return -1
 	}
-	return -1
+	return i
 }
 
 func (hb *HB) lastEventAtOrBefore(rank int, t uint64) int {
 	evs := hb.events[rank]
-	for i := len(evs) - 1; i >= 0; i-- {
-		if evs[i].rec.TEnd <= t {
-			return i
-		}
-	}
-	return -1
+	return sort.Search(len(evs), func(i int) bool { return evs[i].rec.TEnd > t }) - 1
 }
 
 // ValidateConflicts checks the §5.2 property for a set of detected

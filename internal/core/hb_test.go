@@ -41,21 +41,81 @@ func ioWindow(t *testing.T, tr *recorder.Trace, rank, k int) (uint64, uint64) {
 	return 0, 0
 }
 
+// hbPrograms are the small synchronization programs the HB tests run; the
+// differential test in hb_oracle_test.go replays every one of them.
+var hbPrograms = []struct {
+	name  string
+	ranks int
+	body  func(ctx *harness.Ctx) error
+}{
+	{"sendrecv", 2, progSendRecv},
+	{"barrier", 4, progBarrier},
+	{"concurrent", 2, progConcurrent},
+	{"samerank", 1, progSameRank},
+	{"chain", 3, progChain},
+}
+
+func progSendRecv(ctx *harness.Ctx) error {
+	if ctx.Rank == 0 {
+		fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.OWronly, 0o644)
+		ctx.OS.Pwrite(fd, make([]byte, 64), 0)
+		ctx.OS.Close(fd)
+		ctx.MPI.Send(1, 9, []byte("go"))
+	} else {
+		ctx.MPI.Recv(0, 9)
+		fd, _ := ctx.OS.Open("/f", recorder.ORdonly, 0)
+		ctx.OS.Pread(fd, 64, 0)
+		ctx.OS.Close(fd)
+	}
+	return nil
+}
+
+func progBarrier(ctx *harness.Ctx) error {
+	fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.ORdwr, 0o644)
+	if ctx.Rank == 2 {
+		ctx.OS.Pwrite(fd, make([]byte, 32), 0)
+	}
+	ctx.MPI.Barrier()
+	if ctx.Rank == 3 {
+		ctx.OS.Pread(fd, 32, 0)
+	}
+	return ctx.OS.Close(fd)
+}
+
+func progConcurrent(ctx *harness.Ctx) error {
+	fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.OWronly, 0o644)
+	ctx.OS.Pwrite(fd, make([]byte, 32), int64(ctx.Rank)*32)
+	err := ctx.OS.Close(fd)
+	ctx.MPI.Barrier()
+	return err
+}
+
+func progSameRank(ctx *harness.Ctx) error {
+	ctx.MPI.Barrier()
+	return nil
+}
+
+func progChain(ctx *harness.Ctx) error {
+	switch ctx.Rank {
+	case 0:
+		fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.OWronly, 0o644)
+		ctx.OS.Pwrite(fd, make([]byte, 8), 0)
+		ctx.OS.Close(fd)
+		ctx.MPI.Send(1, 1, []byte("a"))
+	case 1:
+		ctx.MPI.Recv(0, 1)
+		ctx.MPI.Send(2, 2, []byte("b"))
+	case 2:
+		ctx.MPI.Recv(1, 2)
+		fd, _ := ctx.OS.Open("/f", recorder.ORdonly, 0)
+		ctx.OS.Pread(fd, 8, 0)
+		ctx.OS.Close(fd)
+	}
+	return nil
+}
+
 func TestHBSendRecvOrders(t *testing.T) {
-	tr, hb := buildHB(t, 2, func(ctx *harness.Ctx) error {
-		if ctx.Rank == 0 {
-			fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.OWronly, 0o644)
-			ctx.OS.Pwrite(fd, make([]byte, 64), 0)
-			ctx.OS.Close(fd)
-			ctx.MPI.Send(1, 9, []byte("go"))
-		} else {
-			ctx.MPI.Recv(0, 9)
-			fd, _ := ctx.OS.Open("/f", recorder.ORdonly, 0)
-			ctx.OS.Pread(fd, 64, 0)
-			ctx.OS.Close(fd)
-		}
-		return nil
-	})
+	tr, hb := buildHB(t, 2, progSendRecv)
 	_, wEnd := ioWindow(t, tr, 0, 0)
 	rStart, _ := ioWindow(t, tr, 1, 0)
 	if !hb.OrderedIO(0, wEnd, 1, rStart) {
@@ -68,17 +128,7 @@ func TestHBSendRecvOrders(t *testing.T) {
 }
 
 func TestHBBarrierOrders(t *testing.T) {
-	tr, hb := buildHB(t, 4, func(ctx *harness.Ctx) error {
-		fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.ORdwr, 0o644)
-		if ctx.Rank == 2 {
-			ctx.OS.Pwrite(fd, make([]byte, 32), 0)
-		}
-		ctx.MPI.Barrier()
-		if ctx.Rank == 3 {
-			ctx.OS.Pread(fd, 32, 0)
-		}
-		return ctx.OS.Close(fd)
-	})
+	tr, hb := buildHB(t, 4, progBarrier)
 	_, wEnd := ioWindow(t, tr, 2, 0)
 	rStart, _ := ioWindow(t, tr, 3, 0)
 	if !hb.OrderedIO(2, wEnd, 3, rStart) {
@@ -87,13 +137,7 @@ func TestHBBarrierOrders(t *testing.T) {
 }
 
 func TestHBConcurrentOpsNotOrdered(t *testing.T) {
-	tr, hb := buildHB(t, 2, func(ctx *harness.Ctx) error {
-		fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.OWronly, 0o644)
-		ctx.OS.Pwrite(fd, make([]byte, 32), int64(ctx.Rank)*32)
-		err := ctx.OS.Close(fd)
-		ctx.MPI.Barrier()
-		return err
-	})
+	tr, hb := buildHB(t, 2, progConcurrent)
 	// The two writes are concurrent (no synchronization between them).
 	_, w0End := ioWindow(t, tr, 0, 0)
 	w1Start, _ := ioWindow(t, tr, 1, 0)
@@ -103,10 +147,7 @@ func TestHBConcurrentOpsNotOrdered(t *testing.T) {
 }
 
 func TestHBSameRankProgramOrder(t *testing.T) {
-	_, hb := buildHB(t, 1, func(ctx *harness.Ctx) error {
-		ctx.MPI.Barrier()
-		return nil
-	})
+	_, hb := buildHB(t, 1, progSameRank)
 	if !hb.OrderedIO(0, 100, 0, 200) {
 		t.Fatal("same-rank program order broken")
 	}
@@ -117,24 +158,7 @@ func TestHBSameRankProgramOrder(t *testing.T) {
 
 func TestHBTransitiveThroughChain(t *testing.T) {
 	// 0 → 1 → 2 message chain orders rank 0's write before rank 2's read.
-	tr, hb := buildHB(t, 3, func(ctx *harness.Ctx) error {
-		switch ctx.Rank {
-		case 0:
-			fd, _ := ctx.OS.Open("/f", recorder.OCreat|recorder.OWronly, 0o644)
-			ctx.OS.Pwrite(fd, make([]byte, 8), 0)
-			ctx.OS.Close(fd)
-			ctx.MPI.Send(1, 1, []byte("a"))
-		case 1:
-			ctx.MPI.Recv(0, 1)
-			ctx.MPI.Send(2, 2, []byte("b"))
-		case 2:
-			ctx.MPI.Recv(1, 2)
-			fd, _ := ctx.OS.Open("/f", recorder.ORdonly, 0)
-			ctx.OS.Pread(fd, 8, 0)
-			ctx.OS.Close(fd)
-		}
-		return nil
-	})
+	tr, hb := buildHB(t, 3, progChain)
 	_, wEnd := ioWindow(t, tr, 0, 0)
 	rStart, _ := ioWindow(t, tr, 2, 0)
 	if !hb.OrderedIO(0, wEnd, 2, rStart) {

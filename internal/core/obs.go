@@ -48,6 +48,14 @@ var (
 	sweepMapTables        = obs.Default().Counter("core.sweep.map_tables")
 	conflictsSuppressed   = obs.Default().Counter("core.conflicts.suppressed")
 	fusedAllocBytes       = obs.Default().Histogram("core.pass.fused-conflicts.alloc_bytes")
+
+	// Happens-before work counters, added once per BuildHB: MPI events
+	// walked, collective instances joined, and element-wise clock merges
+	// (one per vector-clock entry touched). merge_ops stays within
+	// 2 x events x ranks (TestHBMergeOpsLinearInEvents).
+	hbEvents      = obs.Default().Counter("core.hb.events")
+	hbCollectives = obs.Default().Counter("core.hb.collectives")
+	hbMergeOps    = obs.Default().Counter("core.hb.merge_ops")
 )
 
 // startPass opens a span plus a wall-clock histogram sample for one

@@ -16,9 +16,15 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/recorder"
 	"repro/internal/sim"
 )
+
+// bytesCopied counts payload bytes the collectives copy: deposits into a
+// round and per-rank private results. An R-rank Allgather of b-byte
+// payloads copies R*b bytes.
+var bytesCopied = obs.Default().Counter("mpi.collective.bytes_copied")
 
 // Op is a reduction operator.
 type Op int
@@ -250,23 +256,30 @@ func (p *Proc) Barrier() {
 // Bcast distributes root's data to every rank and returns it.
 func (p *Proc) Bcast(root int, data []byte) []byte {
 	r := p.collective(recorder.FuncMPIBcast, root, data, int64(len(data)))
-	return append([]byte(nil), r.slots[root]...)
+	return privateCopy(r.slots[root])
 }
 
 // Gather collects every rank's data at root. Root receives a slice indexed
-// by rank; other ranks receive nil.
+// by rank; other ranks receive nil. Each rank's data is copied once when it
+// is deposited, so the caller may reuse its buffer as soon as Gather
+// returns. The returned slots are the round's own: read-only, and shared
+// with any other reader of the round.
 func (p *Proc) Gather(root int, data []byte) [][]byte {
-	r := p.collective(recorder.FuncMPIGather, root, data, int64(len(data)))
+	r := p.collective(recorder.FuncMPIGather, root, privateCopy(data), int64(len(data)))
 	if p.rank != root {
 		return nil
 	}
-	return copySlots(r.slots)
+	return r.slots
 }
 
-// Allgather collects every rank's data at every rank.
+// Allgather collects every rank's data at every rank. Each rank's data is
+// copied once when it is deposited, so the caller may reuse its buffer as
+// soon as Allgather returns. The returned slots are shared by every rank of
+// the round and must be treated as read-only: neither the outer slice nor
+// any slot may be modified.
 func (p *Proc) Allgather(data []byte) [][]byte {
-	r := p.collective(recorder.FuncMPIAllgather, -1, data, int64(len(data)))
-	return copySlots(r.slots)
+	r := p.collective(recorder.FuncMPIAllgather, -1, privateCopy(data), int64(len(data)))
+	return r.slots
 }
 
 // Scatter distributes parts[i] from root to rank i. Non-root ranks pass nil
@@ -283,7 +296,7 @@ func (p *Proc) Scatter(root int, parts [][]byte) []byte {
 		}
 	}
 	r := p.collectiveScatter(root, parts, size)
-	mine = append([]byte(nil), r.scatter[p.rank]...)
+	mine = privateCopy(r.scatter[p.rank])
 	return mine
 }
 
@@ -330,7 +343,7 @@ func (p *Proc) Alltoall(parts [][]byte) [][]byte {
 	p.emit(recorder.FuncMPIAlltoall, ts, -1, bytes, r.seq)
 	out := make([][]byte, p.Size())
 	for src := 0; src < p.Size(); src++ {
-		out[src] = append([]byte(nil), r.alltoall[src][p.rank]...)
+		out[src] = privateCopy(r.alltoall[src][p.rank])
 	}
 	return out
 }
@@ -347,12 +360,10 @@ func (p *Proc) Compute(units int) {
 // Clock exposes the rank's clock (used by the I/O layers sharing it).
 func (p *Proc) Clock() *sim.Clock { return p.clock }
 
-func copySlots(slots [][]byte) [][]byte {
-	out := make([][]byte, len(slots))
-	for i, s := range slots {
-		out[i] = append([]byte(nil), s...)
-	}
-	return out
+// privateCopy copies a collective payload, counting the bytes.
+func privateCopy(b []byte) []byte {
+	bytesCopied.Add(int64(len(b)))
+	return append([]byte(nil), b...)
 }
 
 func reduceSlots(slots [][]byte, op Op) int64 {

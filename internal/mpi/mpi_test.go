@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/recorder"
 	"repro/internal/sim"
 )
@@ -345,4 +346,77 @@ func TestDetachIdempotent(t *testing.T) {
 		p.Barrier()
 		p.Barrier()
 	})
+}
+
+// TestAllgatherSlotsSharedAndStable pins the shared-slot contract: every
+// rank sees the same read-only slots, and a depositing rank may overwrite
+// its input buffer as soon as Allgather returns without any other rank's
+// view changing.
+func TestAllgatherSlotsSharedAndStable(t *testing.T) {
+	const n, size = 8, 64
+	outs := make([][][]byte, n)
+	runWorld(t, n, func(p *Proc) {
+		buf := bytes.Repeat([]byte{byte('a' + p.Rank())}, size)
+		out := p.Allgather(buf)
+		for i := range buf {
+			buf[i] = 0xff
+		}
+		p.Barrier() // every rank has scribbled over its buffer
+		for r := 0; r < n; r++ {
+			if want := bytes.Repeat([]byte{byte('a' + r)}, size); !bytes.Equal(out[r], want) {
+				t.Errorf("rank %d: slot %d changed after its owner reused the buffer: %q", p.Rank(), r, out[r])
+			}
+		}
+		outs[p.Rank()] = out
+	})
+	for rank := 1; rank < n; rank++ {
+		for r := 0; r < n; r++ {
+			if &outs[rank][r][0] != &outs[0][r][0] {
+				t.Fatalf("rank %d slot %d is a private copy, want the round's shared slot", rank, r)
+			}
+		}
+	}
+}
+
+// TestGatherRootSlotsStable is the Gather half of the contract: non-root
+// ranks reuse their buffers immediately, and root's view is unaffected.
+func TestGatherRootSlotsStable(t *testing.T) {
+	const n = 6
+	runWorld(t, n, func(p *Proc) {
+		buf := []byte{byte(p.Rank()), byte(p.Rank())}
+		out := p.Gather(0, buf)
+		buf[0], buf[1] = 0xff, 0xff
+		p.Barrier()
+		if p.Rank() != 0 {
+			return
+		}
+		for r := 0; r < n; r++ {
+			if !bytes.Equal(out[r], []byte{byte(r), byte(r)}) {
+				t.Errorf("gather slot %d = %v after its owner reused the buffer", r, out[r])
+			}
+		}
+	})
+}
+
+// TestCollectiveBytesCopiedLinear checks that an R-rank Allgather of b-byte
+// payloads copies R*b bytes (one deposit each), not R*R*b, and that Gather
+// copies the same.
+func TestCollectiveBytesCopiedLinear(t *testing.T) {
+	const n, size = 16, 1024
+	reg := obs.Default()
+	defer reg.SetEnabled(reg.Enabled())
+	reg.SetEnabled(true)
+	for _, tc := range []struct {
+		name string
+		call func(p *Proc, b []byte)
+	}{
+		{"allgather", func(p *Proc, b []byte) { p.Allgather(b) }},
+		{"gather", func(p *Proc, b []byte) { p.Gather(0, b) }},
+	} {
+		before := bytesCopied.Value()
+		runWorld(t, n, func(p *Proc) { tc.call(p, make([]byte, size)) })
+		if got := bytesCopied.Value() - before; got != n*size {
+			t.Errorf("%s: %d ranks x %d bytes copied %d bytes, want %d", tc.name, n, size, got, n*size)
+		}
+	}
 }

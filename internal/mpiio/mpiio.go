@@ -445,14 +445,8 @@ func (f *File) ReadAtAll(off, n int64) ([]byte, error) {
 	want := f.disp + off
 	for _, s := range all {
 		o, d := decodeRequest(s)
-		if len(d) == 0 {
-			continue
-		}
-		for i := int64(0); i < int64(len(d)); i++ {
-			pos := o + i - want
-			if pos >= 0 && pos < n {
-				out[pos] = d[i]
-			}
+		if lo, hi := max(o, want), min(o+int64(len(d)), want+n); lo < hi {
+			copy(out[lo-want:hi-want], d[lo-o:hi-o])
 		}
 	}
 	emit(f, recorder.FuncMPIFileReadAtAll, ts, "", int64(f.fd), n, off)

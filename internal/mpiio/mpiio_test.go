@@ -275,3 +275,45 @@ func TestDoubleCloseFails(t *testing.T) {
 		return ctx.Failures()
 	})
 }
+
+// TestCollectiveWriteReadSharedSlots drives two-phase I/O on 8 ranks over
+// the shared Allgather slots: each rank overwrites its write buffer as soon
+// as WriteAtAll returns (under -race this catches any rank still reading
+// it), contributions overlap their neighbours', and ReadAtAll requests
+// straddle aggregator domains.
+func TestCollectiveWriteReadSharedSlots(t *testing.T) {
+	const ranks, ppn, block = 8, 2, 48
+	run(t, ranks, ppn, func(ctx *harness.Ctx) error {
+		f, err := Open(ctx.MPI, ctx.OS, ctx.Tracer, "/shared", ModeCreate|ModeRdwr, Options{CBBufferSize: 40})
+		if err != nil {
+			return err
+		}
+		for round := 0; round < 3; round++ {
+			buf := bytes.Repeat([]byte{byte('A' + round*ranks + ctx.Rank)}, block)
+			// Rank r writes [32r, 32r+48): its last 16 bytes overlap rank r+1.
+			if err := f.WriteAtAll(int64(ctx.Rank)*32, buf); err != nil {
+				return err
+			}
+			for i := range buf {
+				buf[i] = 0
+			}
+		}
+		ctx.MPI.Barrier()
+		off, n := int64(ctx.Rank)*32+7, int64(40) // ends inside the file
+		got, err := f.ReadAtAll(off, n)
+		if err != nil {
+			return err
+		}
+		want, err := f.ReadAt(off, n)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, want) {
+			ctx.Failf("collective read %q, independent read %q", got, want)
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		return ctx.Failures()
+	})
+}
