@@ -16,6 +16,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
+	"repro/internal/sim"
 )
 
 const (
@@ -26,9 +27,7 @@ const (
 
 func pattern(i int, n int64) []byte {
 	b := make([]byte, n)
-	for j := range b {
-		b[j] = byte(i*31 + j%97)
-	}
+	sim.Pattern(b, uint64(i))
 	return b
 }
 

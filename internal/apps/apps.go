@@ -15,6 +15,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/recorder"
+	"repro/internal/sim"
 	"repro/internal/wal"
 )
 
@@ -197,10 +198,7 @@ func fill(tag string, rank, step int, n int64) []byte {
 	}
 	h ^= uint64(rank)*0x9e3779b97f4a7c15 + uint64(step)*0xbf58476d1ce4e5b9
 	b := make([]byte, n)
-	for i := range b {
-		h = h*6364136223846793005 + 1442695040888963407
-		b[i] = byte(h >> 56)
-	}
+	sim.Pattern(b, h)
 	return b
 }
 

@@ -32,12 +32,14 @@
 package hdf5
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/posix"
 	"repro/internal/recorder"
+	"repro/internal/sim"
 )
 
 // Layout constants (bytes). Values are representative of HDF5 1.8-era
@@ -266,35 +268,16 @@ func (f *File) metaRead(off, n int64) ([]byte, error) {
 
 // metaBytes generates the deterministic content of a metadata entry.
 func metaBytes(path string, off, n int64) []byte {
-	h := fnv64(path) ^ uint64(off)*0x9e3779b97f4a7c15
-	b := make([]byte, n)
-	for i := range b {
-		h = h*0x100000001b3 + uint64(i)
-		b[i] = byte(h >> 32)
-	}
-	return b
+	return epochBytes(path, off, n, -1)
 }
 
 // epochBytes generates epoch-dependent metadata content (entries whose
-// value changes at every flush, like the superblock EOF address).
+// value changes at every flush, like the superblock EOF address). The epoch
+// is folded into the content key; epoch -1 is the epoch-free metaBytes.
 func epochBytes(path string, off, n, epoch int64) []byte {
-	b := metaBytes(path, off, n)
-	for i := range b {
-		b[i] ^= byte(uint64(epoch+1) * 0x9e3779b9 >> (uint(i%8) * 8))
-	}
+	b := make([]byte, n)
+	sim.Pattern(b, fnv64(path)^uint64(off)*0x9e3779b97f4a7c15^uint64(epoch+1)*0xbf58476d1ce4e5b9)
 	return b
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func fnv64(s string) uint64 {
@@ -489,7 +472,7 @@ func (f *File) flushMetadata() error {
 				return err
 			}
 			want := epochBytes(f.path, RootHeaderOff, RootHeaderLen, f.rootFlushedAt)
-			if !bytesEqual(got, want) && f.opts.OnCorruption != nil {
+			if !bytes.Equal(got, want) && f.opts.OnCorruption != nil {
 				f.opts.OnCorruption(fmt.Sprintf(
 					"hdf5 %s: stale root header at flush epoch %d (expected epoch-%d content)",
 					f.path, epoch, f.rootFlushedAt))

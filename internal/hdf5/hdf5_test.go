@@ -360,6 +360,73 @@ func TestDoubleCloseAndDuplicateDataset(t *testing.T) {
 	})
 }
 
+// sharedWord returns the offset of the first aligned 8-byte word of a that
+// occurs at any byte offset of b, or -1.
+func sharedWord(a, b []byte) int {
+	for i := 0; i+8 <= len(a); i += 8 {
+		if bytes.Contains(b, a[i:i+8]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestEpochBytesSeparate: VerifyMetadata detects a stale root header only
+// if consecutive epochs' contents differ, from each other and from the
+// epoch-free metadata content. No pair shares an 8-byte word at any shift.
+func TestEpochBytesSeparate(t *testing.T) {
+	for _, e := range []int64{0, 1, 7} {
+		streams := [][]byte{
+			metaBytes("/f.h5", RootHeaderOff, RootHeaderLen),
+			epochBytes("/f.h5", RootHeaderOff, RootHeaderLen, e),
+			epochBytes("/f.h5", RootHeaderOff, RootHeaderLen, e+1),
+		}
+		for i := range streams {
+			for j := i + 1; j < len(streams); j++ {
+				if off := sharedWord(streams[i], streams[j]); off >= 0 {
+					t.Fatalf("epoch %d: streams %d and %d share the word at %d", e, i, j, off)
+				}
+			}
+		}
+	}
+}
+
+// TestVerifyMetadataFlagsStaleRootHeader: a root header rolled back to the
+// previous epoch's content (a lost update, not a hole) is reported at the
+// next flush. This catches the stale read only because epochs differ.
+func TestVerifyMetadataFlagsStaleRootHeader(t *testing.T) {
+	var stale []string
+	run(t, 1, 1, func(ctx *harness.Ctx) error {
+		f, err := CreateSerial(ctx.OS, ctx.Tracer, "/v.h5", Options{
+			VerifyMetadata: true, OnCorruption: func(msg string) { stale = append(stale, msg) }})
+		if err != nil {
+			return err
+		}
+		flush := func() error {
+			if err := f.WriteAttribute("step", 8); err != nil {
+				return err
+			}
+			return f.Flush()
+		}
+		for epoch := 0; epoch < 2; epoch++ {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		// Roll the header back to epoch 0 behind the library's back.
+		if _, err := ctx.OS.Pwrite(f.fd, epochBytes(f.path, RootHeaderOff, RootHeaderLen, 0), RootHeaderOff); err != nil {
+			return err
+		}
+		if err := flush(); err != nil {
+			return err
+		}
+		return f.Close()
+	})
+	if len(stale) != 1 {
+		t.Fatalf("want exactly the rolled-back flush reported, got %q", stale)
+	}
+}
+
 func TestMetaBytesDeterministic(t *testing.T) {
 	a := metaBytes("/f.h5", 96, 272)
 	b := metaBytes("/f.h5", 96, 272)

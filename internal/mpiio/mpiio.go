@@ -221,7 +221,12 @@ func encodeRequest(off int64, data []byte) []byte {
 	return buf
 }
 
+// decodeRequest splits an encoded request. A departed rank's slot is nil
+// and decodes as an empty request, which every caller skips.
 func decodeRequest(b []byte) (off int64, data []byte) {
+	if b == nil {
+		return 0, nil
+	}
 	off = int64(binary.LittleEndian.Uint64(b[0:8]))
 	n := int64(binary.LittleEndian.Uint64(b[8:16]))
 	return off, b[16 : 16+n]
@@ -250,7 +255,19 @@ func (f *File) WriteAll(data []byte) error {
 	return err
 }
 
+// aggregateWrite is the write phase of two-phase I/O. Only aggregators
+// decode the gathered requests; every other rank returns at once.
 func (f *File) aggregateWrite(slots [][]byte) error {
+	myIdx := -1
+	for i, a := range f.aggs {
+		if a == f.comm.Rank() {
+			myIdx = i
+			break
+		}
+	}
+	if myIdx < 0 {
+		return nil // non-aggregators do no file I/O in the write phase
+	}
 	reqs := make([]request, 0, len(slots))
 	payloads := make([][]byte, len(slots))
 	var lo, hi int64
@@ -272,16 +289,6 @@ func (f *File) aggregateWrite(slots [][]byte) error {
 	}
 	if first {
 		return nil // nothing to write anywhere
-	}
-	myIdx := -1
-	for i, a := range f.aggs {
-		if a == f.comm.Rank() {
-			myIdx = i
-			break
-		}
-	}
-	if myIdx < 0 {
-		return nil // non-aggregators do no file I/O in the write phase
 	}
 	for _, dom := range f.domains(myIdx, lo, hi) {
 		if err := f.writeDomain(reqs, payloads, dom[0], dom[1]); err != nil {
@@ -347,52 +354,30 @@ func (f *File) writeDomain(reqs []request, payloads [][]byte, dLo, dHi int64) er
 		}
 		pieces = append(pieces, piece{off: pLo, data: data})
 	}
-	if len(pieces) == 0 {
-		return nil
-	}
 	sort.Slice(pieces, func(i, j int) bool { return pieces[i].off < pieces[j].off })
-	var runOff int64
-	var run []byte
-	flush := func() error {
+	for i := 0; i < len(pieces); {
+		// A run is a maximal chain of touching or overlapping pieces; it is
+		// allocated once at its final length.
+		runOff, end := pieces[i].off, pieces[i].off+int64(len(pieces[i].data))
+		j := i + 1
+		for ; j < len(pieces) && pieces[j].off <= end; j++ {
+			end = max(end, pieces[j].off+int64(len(pieces[j].data)))
+		}
+		run := make([]byte, end-runOff)
+		for _, pc := range pieces[i:j] {
+			copy(run[pc.off-runOff:], pc.data) // overlaps: later piece wins
+		}
 		for len(run) > 0 {
-			chunk := run
-			if int64(len(chunk)) > f.opts.CBBufferSize {
-				chunk = chunk[:f.opts.CBBufferSize]
-			}
+			chunk := run[:min(int64(len(run)), f.opts.CBBufferSize)]
 			if _, err := f.os.Pwrite(f.fd, chunk, runOff); err != nil {
 				return err
 			}
 			runOff += int64(len(chunk))
 			run = run[len(chunk):]
 		}
-		return nil
+		i = j
 	}
-	for _, pc := range pieces {
-		if run == nil {
-			runOff, run = pc.off, append([]byte(nil), pc.data...)
-			continue
-		}
-		end := runOff + int64(len(run))
-		switch {
-		case pc.off == end:
-			run = append(run, pc.data...)
-		case pc.off < end:
-			// Overlapping contributions: later rank wins within the run.
-			overlap := end - pc.off
-			if overlap >= int64(len(pc.data)) {
-				copy(run[pc.off-runOff:], pc.data)
-			} else {
-				copy(run[pc.off-runOff:], pc.data[:overlap])
-				run = append(run, pc.data[overlap:]...)
-			}
-		default:
-			if err := flush(); err != nil {
-				return err
-			}
-			runOff, run = pc.off, append([]byte(nil), pc.data...)
-		}
-	}
-	return flush()
+	return nil
 }
 
 // ReadAtAll performs a collective read: aggregators read contiguous domains

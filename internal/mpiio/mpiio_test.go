@@ -2,6 +2,7 @@ package mpiio
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/harness"
@@ -316,4 +317,47 @@ func TestCollectiveWriteReadSharedSlots(t *testing.T) {
 		}
 		return ctx.Failures()
 	})
+}
+
+// TestCollectiveWriteAfterDetach pins the departed-slot rule: a rank that
+// leaves the job deposits no request, its Allgather slot stays nil, and the
+// survivors' collective writes skip it instead of failing. The file ends up
+// holding exactly the survivors' second-round bytes, with a hole where the
+// departed rank's block would have been.
+func TestCollectiveWriteAfterDetach(t *testing.T) {
+	const ranks, ppn, block, gone = 8, 2, 24, 3 // rank 3 is not an aggregator
+	errGone := errors.New("rank left the job")
+	res, err := harness.Run(harness.Config{Ranks: ranks, PPN: ppn, Semantics: pfs.Strong},
+		recorder.Meta{App: "mpiio-test", Library: "MPI-IO"}, func(ctx *harness.Ctx) error {
+			f, err := Open(ctx.MPI, ctx.OS, ctx.Tracer, "/detach", ModeCreate|ModeRdwr, Options{})
+			if err != nil {
+				return err
+			}
+			if ctx.Rank == gone {
+				ctx.MPI.Detach()
+				return errGone
+			}
+			for round := 0; round < 2; round++ {
+				buf := bytes.Repeat([]byte{byte('A' + round*ranks + ctx.Rank)}, block)
+				if err := f.WriteAtAll(int64(ctx.Rank)*block, buf); err != nil {
+					return err
+				}
+			}
+			return f.Close()
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Errs) != 1 || !errors.Is(res.Errs[0], errGone) {
+		t.Fatalf("want only the departed rank's error, got %v", res.Errs)
+	}
+	want := make([]byte, ranks*block)
+	for r := 0; r < ranks; r++ {
+		if r != gone {
+			copy(want[r*block:], bytes.Repeat([]byte{byte('A' + ranks + r)}, block))
+		}
+	}
+	if got := res.FS.ContentDump()["/detach"]; !bytes.Equal(got, want) {
+		t.Fatalf("file after detach:\n got %q\nwant %q", got, want)
+	}
 }

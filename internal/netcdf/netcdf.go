@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/posix"
 	"repro/internal/recorder"
+	"repro/internal/sim"
 )
 
 // Header layout constants.
@@ -181,10 +182,7 @@ func headerBytes(path string, n int64) []byte {
 	for i := 0; i < len(path); i++ {
 		h = (h ^ uint64(path[i])) * 1099511628211
 	}
-	for i := range b {
-		h = h*6364136223846793005 + 1442695040888963407
-		b[i] = byte(h >> 56)
-	}
+	sim.Pattern(b, h)
 	return b
 }
 

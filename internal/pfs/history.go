@@ -65,8 +65,6 @@ type HistoryEvent struct {
 	// Data is the payload stored by a write or the bytes a read returned
 	// (copies — safe to retain).
 	Data []byte
-	// Digest is an FNV-1a hash of Data, for display and cheap comparison.
-	Digest uint64
 	// Now is the simulated time of the operation (visibility input for
 	// time-based models).
 	Now uint64
@@ -98,15 +96,6 @@ func (fs *FileSystem) SetHistoryRecorder(rec HistoryRecorder) {
 	fs.history = rec
 }
 
-// HistoryDigest is the FNV-1a hash the recorder stamps into Digest.
-func HistoryDigest(data []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range data {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	return h
-}
-
 // recordHistoryLocked stamps and delivers one event. Callers hold fs.mu.
 // Data must already be a private copy (or otherwise never mutated again).
 func (fs *FileSystem) recordHistoryLocked(ev HistoryEvent) {
@@ -115,7 +104,6 @@ func (fs *FileSystem) recordHistoryLocked(ev HistoryEvent) {
 	}
 	fs.histSeq++
 	ev.Seq = fs.histSeq
-	ev.Digest = HistoryDigest(ev.Data)
 	historyEvents.Inc()
 	fs.history.Record(ev)
 }

@@ -10,11 +10,13 @@
 package silo
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/mpi"
 	"repro/internal/posix"
 	"repro/internal/recorder"
+	"repro/internal/sim"
 )
 
 const (
@@ -97,7 +99,7 @@ func Dump(comm *mpi.Proc, os *posix.Proc, tracer *recorder.RankTracer, baseName 
 	// offsets.
 	tsm := os.Clock().Stamp()
 	meshOff := int64(tocLen) + int64(inGroup)*o.BlockSize
-	if _, err := os.Pwrite(fd, fill('M', o.BlockSize), meshOff); err != nil {
+	if _, err := os.Pwrite(fd, bytes.Repeat([]byte{'M'}, int(o.BlockSize)), meshOff); err != nil {
 		return err
 	}
 	emit(recorder.FuncDBPutQuadmesh, tsm, meshOff, o.BlockSize)
@@ -105,7 +107,7 @@ func Dump(comm *mpi.Proc, os *posix.Proc, tracer *recorder.RankTracer, baseName 
 	for vi, v := range vars {
 		tsv := os.Clock().Stamp()
 		off := varBase + int64(vi)*groupN*o.BlockSize + int64(inGroup)*o.BlockSize
-		if _, err := os.Pwrite(fd, fill(byte('0'+vi%10), o.BlockSize), off); err != nil {
+		if _, err := os.Pwrite(fd, bytes.Repeat([]byte{byte('0' + vi%10)}, int(o.BlockSize)), off); err != nil {
 			return err
 		}
 		emit(recorder.FuncDBPutQuadvar, tsv, off, o.BlockSize)
@@ -177,23 +179,12 @@ func Dump(comm *mpi.Proc, os *posix.Proc, tracer *recorder.RankTracer, baseName 
 	return err
 }
 
-func fill(b byte, n int64) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = b
-	}
-	return out
-}
-
 func tocBytes(path string) []byte {
 	b := make([]byte, tocLen)
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(path); i++ {
 		h = (h ^ uint64(path[i])) * 1099511628211
 	}
-	for i := range b {
-		h = h*2862933555777941757 + 3037000493
-		b[i] = byte(h >> 48)
-	}
+	sim.Pattern(b, h)
 	return b
 }

@@ -18,25 +18,13 @@ func NewRNG(seed uint64) *RNG {
 // derivation is deterministic: the same (seed, id) always yields the same
 // stream.
 func (r *RNG) Split(id uint64) *RNG {
-	mixed := splitmix(r.state + 0x9e3779b97f4a7c15*(id+1))
-	return &RNG{state: mixed}
-}
-
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return &RNG{state: mix64(r.state + gamma*(id+2))}
 }
 
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	r.state += gamma
+	return mix64(r.state)
 }
 
 // Intn returns a pseudo-random int in [0, n). It panics if n <= 0.

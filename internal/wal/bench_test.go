@@ -8,6 +8,9 @@ package wal
 // semantics PFS round trip. allocs/op and B/op are measured as usual.
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/pfs"
@@ -73,4 +76,29 @@ func BenchmarkWALDirectWrite(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(simTotal)/float64(b.N), "ns/op")
+}
+
+// BenchmarkBurst is one wal-burst iteration at a fixed 1,000 records of
+// 4 KiB from one rank: RunBurst (WAL appends, drain, formal spec check)
+// then RecoverBurst (replay, payload verification, direct-run
+// comparison). Appends are not fsynced, so the time is CPU, not the disk.
+// Unlike the two benchmarks above, ns/op here is host wall time.
+func BenchmarkBurst(b *testing.B) {
+	root := b.TempDir()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		spec := BurstSpec{Semantics: pfs.Commit, Ranks: 1, Records: 1000, Block: benchBlock, CommitEvery: 16,
+			Log: Options{Dir: filepath.Join(root, strconv.Itoa(i)), NoFsync: true}}
+		if _, err := RunBurst(spec); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := RecoverBurst(spec); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := os.RemoveAll(spec.Log.Dir); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
 }

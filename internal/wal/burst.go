@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/pfs"
+	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
@@ -69,12 +70,7 @@ func (s BurstSpec) offset(rank, k int) int64 {
 // from it is corruption, not just loss.
 func (s BurstSpec) payload(rank, k int) []byte {
 	buf := make([]byte, s.Block)
-	h := s.Seed ^ uint64(rank)*0x9e3779b97f4a7c15 ^ uint64(k)*0xbf58476d1ce4e5b9
-	for i := range buf {
-		h ^= h >> 33
-		h *= 0xff51afd7ed558ccd
-		buf[i] = byte(h >> 56)
-	}
+	sim.Pattern(buf, s.Seed^uint64(rank)*0x9e3779b97f4a7c15^uint64(k)*0xbf58476d1ce4e5b9)
 	return buf
 }
 
