@@ -10,6 +10,7 @@ package semfs
 // EXPERIMENTS.md.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -157,56 +158,13 @@ func BenchmarkAppTraceGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkOverlapDetection compares Algorithm 1 against the brute-force
-// oracle as the record count grows (the paper notes the sweep is linear in
-// practice).
-func BenchmarkOverlapDetection(b *testing.B) {
-	mk := func(n int) []core.Interval {
-		ivs := make([]core.Interval, n)
-		for i := range ivs {
-			// Mostly disjoint strided blocks with occasional overlaps.
-			base := int64(i) * 100
-			if i%17 == 0 {
-				base -= 50
-			}
-			ivs[i] = core.Interval{T: uint64(i), TEnd: uint64(i) + 1,
-				Rank: int32(i % 64), Os: base, Oe: base + 100, Write: i%2 == 0}
-		}
-		return ivs
-	}
-	for _, n := range []int{100, 1000, 10000} {
-		ivs := mk(n)
-		b.Run(fmt.Sprintf("algorithm1/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.DetectOverlaps(ivs, func(core.OverlapPair) {})
-			}
-		})
-	}
-	for _, n := range []int{100, 1000, 10000} {
-		ivs := mk(n)
-		b.Run(fmt.Sprintf("merge/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.DetectOverlapsMerge(ivs, func(core.OverlapPair) {})
-			}
-		})
-	}
-	for _, n := range []int{100, 1000} {
-		ivs := mk(n)
-		b.Run(fmt.Sprintf("bruteforce/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.DetectOverlapsBruteForce(ivs, func(core.OverlapPair) {})
-			}
-		})
-	}
-}
-
 // BenchmarkMetadataConflictDetection measures the §7-extension analysis.
 func BenchmarkMetadataConflictDetection(b *testing.B) {
 	res := allResults(b)
 	tr := res.ByName["MACSio-Silo"].Trace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cs := core.DetectMetadataConflicts(tr)
+		cs, _ := core.DetectMetadataConflicts(context.Background(), tr, 1)
 		if len(cs) == 0 {
 			b.Fatal("no metadata dependencies found")
 		}
@@ -245,7 +203,8 @@ func BenchmarkScaleSweep(b *testing.B) {
 				if err != nil || res.Err() != nil {
 					b.Fatal(err, res.Err())
 				}
-				_, sig := core.AnalyzeConflicts(res.Trace, pfs.Session)
+				fas, _ := core.Extract(context.Background(), res.Trace, 1)
+				_, sig := core.ConflictsOverFiles(fas, pfs.Session)
 				if !sig.WAWDiff {
 					b.Fatal("scale run lost the WAW-D signature")
 				}
@@ -294,7 +253,8 @@ func BenchmarkHappensBefore(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			byFile, _ := core.AnalyzeConflicts(res.Trace, pfs.Session)
+			fas, _ := core.Extract(context.Background(), res.Trace, 1)
+			byFile, _ := core.ConflictsOverFiles(fas, pfs.Session)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -320,6 +280,15 @@ func BenchmarkHappensBefore(b *testing.B) {
 // cost plus scheduling noise. Record the host's core count with the numbers.
 func BenchmarkAnalyzeParallel(b *testing.B) {
 	res := allResults(b)
+	parallel := func(b *testing.B, workers int) func(tr *recorder.Trace) *Analysis {
+		return func(tr *recorder.Trace) *Analysis {
+			an, err := AnalyzeParallelCtx(context.Background(), tr, workers)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return an
+		}
+	}
 	sweep := func(b *testing.B, analyze func(tr *recorder.Trace) *Analysis) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
@@ -337,9 +306,7 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 	})
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel/workers=%d", workers), func(b *testing.B) {
-			sweep(b, func(tr *recorder.Trace) *Analysis {
-				return AnalyzeParallel(tr, workers)
-			})
+			sweep(b, parallel(b, workers))
 		})
 	}
 
@@ -358,9 +325,7 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 			was := reg.Enabled()
 			reg.SetEnabled(on)
 			defer reg.SetEnabled(was)
-			sweep(b, func(tr *recorder.Trace) *Analysis {
-				return AnalyzeParallel(tr, 4)
-			})
+			sweep(b, parallel(b, 4))
 		})
 	}
 }
@@ -369,10 +334,12 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 // conflict engine against the pre-fusion per-model path over the full
 // registry at benchScale. Three shapes:
 //
-//   - per-model: one AnalyzeConflicts call per model — two extractions and
-//     two full sweeps per trace (the pre-PR production path);
-//   - fused-cold: one AnalyzeConflictsAll call with the extraction cache
-//     invalidated every iteration — one extraction plus one sweep;
+//   - per-model: one uncached extraction plus one ConflictsOverFiles sweep
+//     per model — two extractions and two full sweeps per trace (the
+//     pre-fusion production path);
+//   - fused-cold: one shared extraction plus one Conflicts pass with the
+//     extraction cache invalidated every iteration — one extraction plus
+//     one sweep;
 //   - fused-warm: the same with the cache hot — one sweep, zero extractions
 //     (the steady state of report/figure pipelines revisiting a trace).
 //
@@ -381,13 +348,24 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 // here is pure performance.
 func BenchmarkFusedAnalyze(b *testing.B) {
 	res := allResults(b)
+	ctx := context.Background()
 	models := []pfs.Semantics{pfs.Session, pfs.Commit}
+	fused := func(tr *recorder.Trace) {
+		fas, _ := core.ExtractSharedCtx(ctx, tr, 1)
+		ms, _ := core.Conflicts(ctx, fas, models, 1)
+		for _, mc := range ms {
+			if mc.Signature.Any() {
+				benchSink++
+			}
+		}
+	}
 	b.Run("per-model", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, name := range res.Ordered {
 				tr := res.ByName[name].Trace
 				for _, m := range models {
-					_, sig := core.AnalyzeConflicts(tr, m)
+					fas, _ := core.Extract(ctx, tr, 1)
+					_, sig := core.ConflictsOverFiles(fas, m)
 					if sig.Any() {
 						benchSink++
 					}
@@ -400,26 +378,18 @@ func BenchmarkFusedAnalyze(b *testing.B) {
 			for _, name := range res.Ordered {
 				tr := res.ByName[name].Trace
 				core.InvalidateExtraction(tr)
-				for _, mc := range core.AnalyzeConflictsAll(tr, models...) {
-					if mc.Signature.Any() {
-						benchSink++
-					}
-				}
+				fused(tr)
 			}
 		}
 	})
 	b.Run("fused-warm", func(b *testing.B) {
 		for _, name := range res.Ordered {
-			core.ExtractShared(res.ByName[name].Trace) // prime the cache
+			core.ExtractSharedCtx(ctx, res.ByName[name].Trace, 1) // prime the cache
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, name := range res.Ordered {
-				for _, mc := range core.AnalyzeConflictsAll(res.ByName[name].Trace, models...) {
-					if mc.Signature.Any() {
-						benchSink++
-					}
-				}
+				fused(res.ByName[name].Trace)
 			}
 		}
 	})
@@ -431,7 +401,7 @@ func BenchmarkExtract(b *testing.B) {
 	tr := res.ByName["FLASH-fbs"].Trace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fas := core.Extract(tr)
+		fas, _ := core.Extract(context.Background(), tr, 1)
 		if len(fas) == 0 {
 			b.Fatal("no files")
 		}

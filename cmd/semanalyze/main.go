@@ -215,7 +215,14 @@ func analyze(w io.Writer, tr *semfs.Trace, validate bool, maxShow int, full bool
 	fmt.Fprintf(w, "trace: %s — %d ranks, %d records\n\n", tr.Meta.ConfigName(), tr.Meta.Ranks, tr.NumRecords())
 
 	if full {
-		fmt.Fprintln(w, report.BuildRunReport(tr).Render())
+		// Extract once on the requested pool; the analysis below reuses the
+		// cached extraction.
+		fas, err := core.ExtractSharedCtx(context.Background(), tr, workers)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "semanalyze: %s: %v\n", tr.Meta.ConfigName(), err)
+			return exitError
+		}
+		fmt.Fprintln(w, report.BuildRunReportFrom(tr, fas).Render())
 	}
 
 	// The parallel engine is bit-identical to the serial path (see the
@@ -299,7 +306,7 @@ func analyze(w io.Writer, tr *semfs.Trace, validate bool, maxShow int, full bool
 	// checkpoint protocol. Without it, any conflicting pair counts.
 	racy := conflictsFound > 0
 	if validate {
-		unordered, err := semfs.ValidateSynchronization(tr)
+		unordered, err := semfs.ValidateSynchronization(tr, an)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "semanalyze: %s: happens-before: %v\n", tr.Meta.ConfigName(), err)
 			return exitError

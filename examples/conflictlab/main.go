@@ -71,7 +71,7 @@ func report(name string, fsync, reopen bool) {
 		name, an.Verdict.Commit.RAWDiff, an.Verdict.Session.RAWDiff, an.Verdict.Weakest)
 
 	// The detector's finding must be a synchronized (race-free) pair.
-	unordered, err := semfs.ValidateSynchronization(res.Trace)
+	unordered, err := semfs.ValidateSynchronization(res.Trace, an)
 	if err != nil {
 		log.Fatal(err)
 	}

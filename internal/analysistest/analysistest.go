@@ -8,6 +8,7 @@
 package analysistest
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -50,10 +51,10 @@ func RequireEqual(t testing.TB, label string, serial, parallel *semfs.Analysis) 
 	check("MetaSignature", serial.MetaSignature, parallel.MetaSignature)
 }
 
-// CheckTrace asserts AnalyzeParallel(tr, w) == Analyze(tr) for every worker
-// count (DefaultWorkerCounts when none given), and that the fused
-// multi-model conflict engine matches the per-model oracle on the same
-// trace.
+// CheckTrace asserts AnalyzeParallelCtx(ctx, tr, w) == Analyze(tr) for
+// every worker count (DefaultWorkerCounts when none given), and that the
+// fused multi-model conflict engine matches the per-model oracle on the
+// same trace.
 func CheckTrace(t testing.TB, label string, tr *recorder.Trace, workerCounts ...int) {
 	t.Helper()
 	if len(workerCounts) == 0 {
@@ -61,7 +62,11 @@ func CheckTrace(t testing.TB, label string, tr *recorder.Trace, workerCounts ...
 	}
 	oracle := semfs.Analyze(tr)
 	for _, w := range workerCounts {
-		RequireEqual(t, labelWorkers(label, w), oracle, semfs.AnalyzeParallel(tr, w))
+		an, err := semfs.AnalyzeParallelCtx(context.Background(), tr, w)
+		if err != nil {
+			t.Fatalf("%s: %v", labelWorkers(label, w), err)
+		}
+		RequireEqual(t, labelWorkers(label, w), oracle, an)
 	}
 	CheckFused(t, label, tr, workerCounts...)
 }
@@ -70,20 +75,25 @@ func CheckTrace(t testing.TB, label string, tr *recorder.Trace, workerCounts ...
 // against, strongest first.
 var AllModels = []pfs.Semantics{pfs.Strong, pfs.Commit, pfs.Session, pfs.Eventual}
 
-// CheckFused asserts the single-sweep multi-model engine
-// (core.AnalyzeConflictsAll, serial and parallel) produces byte-identical
-// per-file conflict lists and signatures to the per-model oracle
-// core.AnalyzeConflicts for every consistency model, and that the derived
+// CheckFused asserts the single-sweep multi-model engine (core.Conflicts,
+// on one worker and on every pool size) produces byte-identical per-file
+// conflict lists and signatures to the per-model oracle
+// core.ConflictsOverFiles for every consistency model, and that the derived
 // verdicts agree.
 func CheckFused(t testing.TB, label string, tr *recorder.Trace, workerCounts ...int) {
 	t.Helper()
 	if len(workerCounts) == 0 {
 		workerCounts = DefaultWorkerCounts
 	}
+	ctx := context.Background()
+	fresh, err := core.Extract(ctx, tr, 1)
+	if err != nil {
+		t.Fatalf("%s: extract: %v", label, err)
+	}
 	wantByFile := make([]map[string][]core.Conflict, len(AllModels))
 	wantSig := make([]core.ConflictSignature, len(AllModels))
 	for i, m := range AllModels {
-		wantByFile[i], wantSig[i] = core.AnalyzeConflicts(tr, m)
+		wantByFile[i], wantSig[i] = core.ConflictsOverFiles(fresh, m)
 	}
 
 	requireModels := func(how string, ms []core.ModelConflicts) {
@@ -101,17 +111,26 @@ func CheckFused(t testing.TB, label string, tr *recorder.Trace, workerCounts ...
 			}
 		}
 	}
-	requireModels("fused-serial", core.ConflictsAllOverFiles(core.Extract(tr), AllModels))
-	fas := core.ExtractShared(tr)
-	for _, w := range workerCounts {
-		requireModels(fmt.Sprintf("fused-parallel/workers=%d", w),
-			core.ConflictsAllForFiles(fas, AllModels, w))
+	conflicts := func(fas []*core.FileAccesses, w int) []core.ModelConflicts {
+		t.Helper()
+		ms, err := core.Conflicts(ctx, fas, AllModels, w)
+		if err != nil {
+			t.Fatalf("%s: conflicts on %d workers: %v", label, w, err)
+		}
+		return ms
 	}
-
+	requireModels("fused-serial", conflicts(fresh, 1))
+	shared, err := core.ExtractSharedCtx(ctx, tr, 1)
+	if err != nil {
+		t.Fatalf("%s: shared extraction: %v", label, err)
+	}
 	sessionI, commitI := indexOf(pfs.Session), indexOf(pfs.Commit)
 	wantVerdict := core.VerdictFrom(wantSig[sessionI], wantSig[commitI])
-	if got := core.Analyze(tr); got != wantVerdict {
-		t.Errorf("%s: fused verdict %+v, per-model oracle %+v", label, got, wantVerdict)
+	for _, w := range workerCounts {
+		requireModels(fmt.Sprintf("fused-parallel/workers=%d", w), conflicts(shared, w))
+		if got, err := core.Analyze(ctx, tr, w); err != nil || got != wantVerdict {
+			t.Errorf("%s: fused verdict on %d workers %+v (%v), per-model oracle %+v", label, w, got, err, wantVerdict)
+		}
 	}
 }
 
@@ -165,7 +184,10 @@ func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts .
 	}
 	oracleAnalysis := semfs.Analyze(oracle)
 	oracleReport := report.BuildRunReport(oracle).Render()
-	oracleFA := core.Extract(oracle)
+	oracleFA, err := core.Extract(context.Background(), oracle, 1)
+	if err != nil {
+		t.Fatalf("%s: extracting the v1 oracle: %v", label, err)
+	}
 
 	for _, d := range dirs {
 		for _, w := range workerCounts {
@@ -195,7 +217,7 @@ func CheckFormats(t testing.TB, label string, tr *recorder.Trace, workerCounts .
 		if err != nil {
 			t.Fatalf("%s/cursors/workers=%d: open: %v", label, w, err)
 		}
-		fas, err := core.ExtractCursors(dr.Cursors(), w)
+		fas, err := core.ExtractCursors(context.Background(), dr.Cursors(), w)
 		if cerr := dr.Close(); cerr != nil {
 			t.Errorf("%s/cursors/workers=%d: close: %v", label, w, cerr)
 		}

@@ -1,18 +1,36 @@
 package apps
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/pfs"
+	"repro/internal/recorder"
 )
 
 const (
 	testRanks = 16
 	testPPN   = 2 // 8 nodes, so FLASH/VPIC's 6 aggregators fit
 )
+
+// bg is the context of every analysis pass in these tests.
+var bg = context.Background()
+
+// must unwraps the result of a pass run under bg, which cannot fail.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// perModel is the per-model conflict oracle over an uncached extraction.
+func perModel(tr *recorder.Trace, model pfs.Semantics) (map[string][]core.Conflict, core.ConflictSignature) {
+	return core.ConflictsOverFiles(must(core.Extract(bg, tr, 1)), model)
+}
 
 func execute(t *testing.T, name string, opts Options) *harness.Result {
 	t.Helper()
@@ -81,7 +99,7 @@ func TestTable4SessionConflicts(t *testing.T) {
 		t.Run(cfg.Name(), func(t *testing.T) {
 			t.Parallel()
 			res := execute(t, cfg.Name(), Options{})
-			_, sig := core.AnalyzeConflicts(res.Trace, pfs.Session)
+			_, sig := perModel(res.Trace, pfs.Session)
 			want := table4Expected[cfg.Name()]
 			if sig != want {
 				t.Fatalf("session signature = %+v, want %+v (Table 4)", sig, want)
@@ -98,7 +116,7 @@ func TestTable4CommitConflicts(t *testing.T) {
 		t.Run(cfg.Name(), func(t *testing.T) {
 			t.Parallel()
 			res := execute(t, cfg.Name(), Options{})
-			_, sig := core.AnalyzeConflicts(res.Trace, pfs.Commit)
+			_, sig := perModel(res.Trace, pfs.Commit)
 			want := table4Expected[cfg.Name()]
 			if strings.HasPrefix(cfg.Name(), "FLASH") {
 				want = core.ConflictSignature{}
@@ -147,8 +165,8 @@ func TestTable3HighLevelPatterns(t *testing.T) {
 		t.Run(cfg.Name(), func(t *testing.T) {
 			t.Parallel()
 			res := execute(t, cfg.Name(), Options{})
-			fas := core.Extract(res.Trace)
-			ps := core.ClassifyHighLevel(fas, core.HLOptions{WorldSize: testRanks})
+			fas := must(core.Extract(bg, res.Trace, 1))
+			ps := must(core.ClassifyHighLevel(bg, fas, core.HLOptions{WorldSize: testRanks}, 1))
 			want := table3Expected[cfg.Name()]
 			for _, p := range ps {
 				if p.Key() == want {
@@ -176,7 +194,7 @@ func TestConflictsAreSynchronized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			byFile, _ := core.AnalyzeConflicts(res.Trace, pfs.Session)
+			byFile, _ := perModel(res.Trace, pfs.Session)
 			total := 0
 			for path, cs := range byFile {
 				if un := core.ValidateConflicts(hb, cs); len(un) > 0 {
@@ -200,8 +218,8 @@ func TestScaleInvariance(t *testing.T) {
 			t.Parallel()
 			small := execute(t, name, Options{Ranks: 8, PPN: 2})
 			large := execute(t, name, Options{Ranks: 32, PPN: 4})
-			_, sigS := core.AnalyzeConflicts(small.Trace, pfs.Session)
-			_, sigL := core.AnalyzeConflicts(large.Trace, pfs.Session)
+			_, sigS := perModel(small.Trace, pfs.Session)
+			_, sigL := perModel(large.Trace, pfs.Session)
 			if sigS != sigL {
 				t.Fatalf("signature changed with scale: %+v vs %+v", sigS, sigL)
 			}
@@ -217,7 +235,7 @@ func TestVerdicts(t *testing.T) {
 		t.Run(cfg.Name(), func(t *testing.T) {
 			t.Parallel()
 			res := execute(t, cfg.Name(), Options{})
-			v := core.Analyze(res.Trace)
+			v := must(core.Analyze(bg, res.Trace, 1))
 			wantWeakest := pfs.Session
 			if strings.HasPrefix(cfg.Name(), "FLASH") {
 				wantWeakest = pfs.Commit
@@ -285,7 +303,7 @@ func TestFlashFixedByCollectiveMetadata(t *testing.T) {
 	if res.Err() != nil {
 		t.Fatalf("collective-metadata FLASH failed on session semantics: %v", res.Err())
 	}
-	_, sig := core.AnalyzeConflicts(res.Trace, pfs.Session)
+	_, sig := perModel(res.Trace, pfs.Session)
 	if sig.HasDifferentProcess() {
 		t.Fatalf("cross-process conflicts remain with collective metadata: %+v", sig)
 	}

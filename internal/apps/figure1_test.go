@@ -81,8 +81,8 @@ func TestFigure1ShapeInvariants(t *testing.T) {
 		t.Run(c.config, func(t *testing.T) {
 			t.Parallel()
 			res := execute(t, c.config, Options{Ranks: 32, PPN: 4})
-			fas := core.Extract(res.Trace)
-			c.check(t, core.GlobalPattern(fas), core.LocalPattern(fas))
+			fas := must(core.Extract(bg, res.Trace, 1))
+			c.check(t, must(core.GlobalPattern(bg, fas, 1)), must(core.LocalPattern(bg, fas, 1)))
 		})
 	}
 }

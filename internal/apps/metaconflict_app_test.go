@@ -24,7 +24,7 @@ func TestMetadataDependencies(t *testing.T) {
 		t.Run(cfg.Name(), func(t *testing.T) {
 			t.Parallel()
 			res := execute(t, cfg.Name(), Options{})
-			cs := core.DetectMetadataConflicts(res.Trace)
+			cs := must(core.DetectMetadataConflicts(bg, res.Trace, 1))
 			sig := core.MetaSignatureOf(cs)
 			if want := expected[cfg.Name()]; sig != want {
 				t.Fatalf("metadata signature = %+v, want %+v (pairs: %v)", sig, want, cs)

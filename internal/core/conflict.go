@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -244,17 +245,6 @@ func ConflictsOverFiles(fas []*FileAccesses, model pfs.Semantics) (map[string][]
 	return byFile, sig
 }
 
-// AnalyzeConflicts runs extraction and conflict detection over a whole
-// trace for one model, returning conflicts per file (files without
-// conflicts omitted) and the aggregate signature. This is the per-model
-// oracle path: it extracts for itself (no cache) and sweeps once per model,
-// exactly as the paper's Algorithm 1 + §5.2 describe. Production callers
-// use AnalyzeConflictsAll, which shares one extraction and one sweep across
-// models.
-func AnalyzeConflicts(tr *recorder.Trace, model pfs.Semantics) (map[string][]Conflict, ConflictSignature) {
-	return ConflictsOverFiles(Extract(tr), model)
-}
-
 // Verdict is the paper's bottom line for one application (§6.3): the
 // weakest consistency model under which it runs correctly, given that
 // same-process conflicts are handled by any PFS with per-process ordering.
@@ -269,15 +259,23 @@ type Verdict struct {
 	NeedsPerProcessOrdering bool
 }
 
-// Analyze computes the full verdict for a trace, through the fused engine:
-// one (cached) extraction, one sweep evaluating both models.
-func Analyze(tr *recorder.Trace) Verdict {
-	ms := AnalyzeConflictsAll(tr, pfs.Session, pfs.Commit)
-	return VerdictFrom(ms[0].Signature, ms[1].Signature)
+// Analyze computes the full verdict for a trace through the fused engine:
+// one (cached) extraction, then one sweep evaluating both models.
+func Analyze(ctx context.Context, tr *recorder.Trace, workers int) (Verdict, error) {
+	defer startPass("analyze")()
+	fas, err := ExtractSharedCtx(ctx, tr, workers)
+	if err != nil {
+		return Verdict{}, err
+	}
+	ms, err := Conflicts(ctx, fas, []pfs.Semantics{pfs.Session, pfs.Commit}, workers)
+	if err != nil {
+		return Verdict{}, err
+	}
+	return VerdictFrom(ms[0].Signature, ms[1].Signature), nil
 }
 
 // VerdictFrom derives the §6.3 verdict from the two model signatures — the
-// shared tail of the serial and parallel analysis paths.
+// shared tail of the fused and per-model analysis paths.
 func VerdictFrom(session, commit ConflictSignature) Verdict {
 	v := Verdict{Session: session, Commit: commit}
 	switch {

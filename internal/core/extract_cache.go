@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"repro/internal/recorder"
@@ -13,10 +14,8 @@ import (
 // consumers (patterns and reports build their own index slices), so sharing
 // is read-only safe; see DESIGN.md §11.
 //
-// The cache is keyed by source identity — the *recorder.Trace for
-// slice-backed extraction, any caller-chosen key for cursor-backed
-// extraction — holds at most extractCacheCap entries, and evicts in
-// insertion (FIFO) order — analysis
+// The cache is keyed by trace identity (the *recorder.Trace), holds at most
+// extractCacheCap entries, and evicts in insertion (FIFO) order — analysis
 // sweeps visit each trace in bursts and never revisit old ones, so FIFO
 // behaves like LRU here without the bookkeeping.
 
@@ -30,17 +29,17 @@ type extractionEntry struct {
 
 type extractionCache struct {
 	mu    sync.Mutex
-	byTr  map[any]*extractionEntry
-	order []any // insertion order, for FIFO eviction
+	byTr  map[*recorder.Trace]*extractionEntry
+	order []*recorder.Trace // insertion order, for FIFO eviction
 }
 
-var extractions = extractionCache{byTr: make(map[any]*extractionEntry)}
+var extractions = extractionCache{byTr: make(map[*recorder.Trace]*extractionEntry)}
 
 // acquire returns the trace's entry, creating (and possibly evicting) under
 // the lock. The extraction itself runs outside the lock, guarded by the
 // entry's once, so concurrent callers for the same trace coalesce into a
 // single extraction while other traces proceed independently.
-func (c *extractionCache) acquire(tr any) *extractionEntry {
+func (c *extractionCache) acquire(tr *recorder.Trace) *extractionEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.byTr[tr]; ok {
@@ -60,37 +59,28 @@ func (c *extractionCache) acquire(tr any) *extractionEntry {
 	return e
 }
 
-// drop removes an entry, if still present with the same identity.
-func (c *extractionCache) drop(tr any, e *extractionEntry) {
+// drop removes tr's entry — when e is non-nil, only if the entry is still e.
+func (c *extractionCache) drop(tr *recorder.Trace, e *extractionEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cur, ok := c.byTr[tr]; ok && cur == e {
-		delete(c.byTr, tr)
-		for i, t := range c.order {
-			if t == tr {
-				c.order = append(c.order[:i], c.order[i+1:]...)
-				break
-			}
-		}
+	if cur, ok := c.byTr[tr]; !ok || (e != nil && cur != e) {
+		return
+	}
+	delete(c.byTr, tr)
+	if i := slices.Index(c.order, tr); i >= 0 {
+		c.order = slices.Delete(c.order, i, i+1)
 	}
 }
 
-// ExtractShared is Extract through the cache: the first call for a trace
-// extracts (serially) and every later call returns the same slice. Callers
-// must treat the result as read-only.
-func ExtractShared(tr *recorder.Trace) []*FileAccesses {
-	fas, _ := ExtractSharedCtx(context.Background(), tr, 1)
-	return fas
-}
-
-// ExtractSharedCtx is ExtractShared with a cancellable, parallel extraction
-// on a miss (workers as in ExtractParallelCtx). A failed (cancelled)
+// ExtractSharedCtx is Extract through the cache: the first call for a trace
+// extracts on the given worker count and every later call returns the same
+// slice. Callers must treat the result as read-only. A failed (cancelled)
 // extraction is dropped from the cache so the error does not poison later
 // calls.
 func ExtractSharedCtx(ctx context.Context, tr *recorder.Trace, workers int) ([]*FileAccesses, error) {
 	e := extractions.acquire(tr)
 	e.once.Do(func() {
-		e.fas, e.err = ExtractParallelCtx(ctx, tr, workers)
+		e.fas, e.err = Extract(ctx, tr, workers)
 		if e.err != nil {
 			extractions.drop(tr, e)
 		}
@@ -98,37 +88,15 @@ func ExtractSharedCtx(ctx context.Context, tr *recorder.Trace, workers int) ([]*
 	return e.fas, e.err
 }
 
+// ExtractShared is ExtractSharedCtx(context.Background(), tr, 1). The
+// benchmark module (perfbench) still calls it; code in this module calls
+// ExtractSharedCtx.
+func ExtractShared(tr *recorder.Trace) []*FileAccesses {
+	fas, _ := ExtractSharedCtx(context.Background(), tr, 1)
+	return fas
+}
+
 // InvalidateExtraction evicts a trace's cached extraction. Benchmarks use it
 // to measure the cold path; production code never needs it because traces
 // are immutable.
-func InvalidateExtraction(tr *recorder.Trace) {
-	extractions.mu.Lock()
-	defer extractions.mu.Unlock()
-	if _, ok := extractions.byTr[tr]; !ok {
-		return
-	}
-	delete(extractions.byTr, tr)
-	for i, t := range extractions.order {
-		if t == tr {
-			extractions.order = append(extractions.order[:i], extractions.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// ExtractCursorsSharedCtx is ExtractCursorsCtx through the cache: key
-// identifies the underlying trace source (one key per opened directory —
-// e.g. the colfmt DirReader), so repeated analyses of the same mapped trace
-// share one extraction without ever materializing []Record. Cursors are
-// single-use: they are consumed only on a cache miss, and concurrent
-// callers for the same key coalesce into a single walk.
-func ExtractCursorsSharedCtx(ctx context.Context, key any, cursors []RecordCursor, workers int) ([]*FileAccesses, error) {
-	e := extractions.acquire(key)
-	e.once.Do(func() {
-		e.fas, e.err = ExtractCursorsCtx(ctx, cursors, workers)
-		if e.err != nil {
-			extractions.drop(key, e)
-		}
-	})
-	return e.fas, e.err
-}
+func InvalidateExtraction(tr *recorder.Trace) { extractions.drop(tr, nil) }

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/pfs"
-	"repro/internal/recorder"
 )
 
 // ModelConflicts is one model's slice of a fused analysis: the per-file
 // conflict lists (files without conflicts omitted) and the aggregate
-// Table 4 signature — exactly what AnalyzeConflicts returns for that model.
+// Table 4 signature — exactly what ConflictsOverFiles returns for that model.
 type ModelConflicts struct {
 	Model     pfs.Semantics
 	ByFile    map[string][]Conflict
@@ -68,29 +69,30 @@ func DetectConflictsMulti(fa *FileAccesses, models []pfs.Semantics) [][]Conflict
 	return out
 }
 
-// ConflictsAllOverFiles folds DetectConflictsMulti over pre-extracted
-// accesses, serially, producing one ModelConflicts per requested model.
-func ConflictsAllOverFiles(fas []*FileAccesses, models []pfs.Semantics) []ModelConflicts {
-	defer startFusedPass()()
-	ms := make([]ModelConflicts, len(models))
-	for i, m := range models {
-		ms[i] = ModelConflicts{Model: m, ByFile: make(map[string][]Conflict)}
+// Conflicts is the fused conflict pass over already-extracted accesses:
+// DetectConflictsMulti per file, sharded across files on the worker pool
+// and merged in path order into one ModelConflicts per requested model
+// (index-matching models). Per-model results are identical to
+// ConflictsOverFiles. fas must not be mutated concurrently.
+func Conflicts(ctx context.Context, fas []*FileAccesses, models []pfs.Semantics, workers int) ([]ModelConflicts, error) {
+	defer startFusedPass(EffectiveWorkers(workers) <= 1)()
+	per := make([][][]Conflict, len(fas))
+	if err := ParallelFor(ctx, len(fas), workers, func(i int) {
+		per[i] = DetectConflictsMulti(fas[i], models)
+	}); err != nil {
+		return nil, err
 	}
-	for _, fa := range fas {
-		lists := DetectConflictsMulti(fa, models)
-		for i, cs := range lists {
+	ms := make([]ModelConflicts, len(models))
+	for j, m := range models {
+		ms[j] = ModelConflicts{Model: m, ByFile: make(map[string][]Conflict)}
+	}
+	for i, fa := range fas { // path order
+		for j, cs := range per[i] {
 			if len(cs) > 0 {
-				ms[i].ByFile[fa.Path] = cs
-				ms[i].Signature.merge(Signature(cs))
+				ms[j].ByFile[fa.Path] = cs
+				ms[j].Signature.merge(Signature(cs))
 			}
 		}
 	}
-	return ms
-}
-
-// AnalyzeConflictsAll is the fused replacement for calling AnalyzeConflicts
-// once per model: one (cached) extraction, one sweep per file evaluating
-// every model's predicate. Results index-match the models argument.
-func AnalyzeConflictsAll(tr *recorder.Trace, models ...pfs.Semantics) []ModelConflicts {
-	return ConflictsAllOverFiles(ExtractShared(tr), models)
+	return ms, nil
 }

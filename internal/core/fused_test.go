@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/pfs"
@@ -102,7 +103,7 @@ func TestExtractSharedCaches(t *testing.T) {
 	if &a[0] != &b[0] {
 		t.Fatal("second ExtractShared did not return the cached slice")
 	}
-	if want := Extract(tr); !reflect.DeepEqual(a, want) {
+	if want := must(Extract(bg, tr, 1)); !reflect.DeepEqual(a, want) {
 		t.Fatal("cached extraction diverges from serial Extract")
 	}
 	InvalidateExtraction(tr)
@@ -146,6 +147,25 @@ func TestExtractSharedEviction(t *testing.T) {
 	}
 	for _, tr := range trs {
 		InvalidateExtraction(tr)
+	}
+}
+
+// TestInvalidateExtractionReleasesTrace: an invalidated trace is no longer
+// reachable from the cache, not even through the spare capacity of its
+// FIFO order slice, so the trace and its records can be collected.
+func TestInvalidateExtractionReleasesTrace(t *testing.T) {
+	trs := []*recorder.Trace{synthTrace(1, 1), synthTrace(1, 1)}
+	for _, tr := range trs {
+		ExtractShared(tr)
+	}
+	for i, tr := range trs {
+		InvalidateExtraction(tr)
+		extractions.mu.Lock()
+		held := slices.Contains(extractions.order[:cap(extractions.order)], tr)
+		extractions.mu.Unlock()
+		if held {
+			t.Fatalf("trace %d still referenced by the cache after InvalidateExtraction", i)
+		}
 	}
 }
 

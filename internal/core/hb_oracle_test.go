@@ -343,7 +343,7 @@ func TestBuildHBMatchesOracleOnRegistry(t *testing.T) {
 				tr = res.Trace
 			}
 			got, want := compareHB(t, tr)
-			byFile, _ := AnalyzeConflicts(tr, pfs.Session)
+			byFile, _ := ConflictsOverFiles(must(Extract(bg, tr, 1)), pfs.Session)
 			for _, cs := range byFile {
 				for _, c := range cs {
 					g := got.OrderedIO(c.First.Rank, c.First.TEnd, c.Second.Rank, c.Second.T)

@@ -186,7 +186,7 @@ func TestValidateConflictsOnSynchronizedApp(t *testing.T) {
 	if err != nil || res.Err() != nil {
 		t.Fatal(err, res.Err())
 	}
-	byFile, sig := AnalyzeConflicts(res.Trace, pfs.Session)
+	byFile, sig := ConflictsOverFiles(must(Extract(bg, res.Trace, 1)), pfs.Session)
 	if !sig.WAWDiff {
 		t.Fatalf("expected a WAW-D conflict, got %+v", sig)
 	}
@@ -219,7 +219,7 @@ func TestAnalyzeVerdicts(t *testing.T) {
 	if err != nil || res.Err() != nil {
 		t.Fatal(err, res.Err())
 	}
-	v := Analyze(res.Trace)
+	v := must(Analyze(bg, res.Trace, 1))
 	if !v.Session.WAWDiff {
 		t.Fatalf("session signature = %+v", v.Session)
 	}

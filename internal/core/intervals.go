@@ -13,6 +13,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"sort"
 	"strings"
@@ -143,17 +144,13 @@ func (t *fdTable) closeFD(fd int64) *fdState {
 // each rank's record stream in order, tracking the current offset of every
 // descriptor (updated by open flags, seeks and transfer sizes, per §5.1),
 // and annotates every data operation with its To/Tc times and originating
-// layer. Results are keyed by path and returned sorted by path.
-func Extract(tr *recorder.Trace) []*FileAccesses {
-	files := make(map[string]*FileAccesses)
-	for _, rs := range tr.PerRank {
-		extractRank(rs, files)
-	}
-	out := sortedFiles(files)
-	for _, fa := range out {
-		annotate(fa)
-	}
-	return out
+// layer. Results are keyed by path and returned sorted by path, identical
+// at every worker count (see extractRanks).
+func Extract(ctx context.Context, tr *recorder.Trace, workers int) ([]*FileAccesses, error) {
+	return extractRanks(ctx, len(tr.PerRank), workers, func(r int, files map[string]*FileAccesses) error {
+		extractRank(tr.PerRank[r], files)
+		return nil
+	})
 }
 
 // extractRank walks one rank's record stream and accumulates its file

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"path"
 	"sort"
@@ -89,19 +90,43 @@ type metaEvent struct {
 // of the path by a different process. A stat/access immediately followed by
 // the same process's own creating open of the same path is an existence
 // probe, not a dependency, and is skipped (the probe tolerates both
-// outcomes).
-func DetectMetadataConflicts(tr *recorder.Trace) []MetaConflict {
+// outcomes). Per-rank event collection and the per-path scans are sharded
+// on the worker pool; the final total-order sort makes the output
+// independent of the schedule.
+func DetectMetadataConflicts(ctx context.Context, tr *recorder.Trace, workers int) ([]MetaConflict, error) {
+	defer startPass("meta-conflicts")()
+	n := len(tr.PerRank)
 	events := make(map[string][]metaEvent)
-	for _, rs := range tr.PerRank {
-		addMetaEvents(events, metaEventsRank(rs))
+	if EffectiveWorkers(workers) <= 1 || n <= 1 {
+		// Reference schedule: fold each rank's events as it is walked.
+		if err := ParallelFor(ctx, n, 1, func(r int) { addMetaEvents(events, metaEventsRank(tr.PerRank[r])) }); err != nil {
+			return nil, err
+		}
+	} else {
+		locals := make([][]metaEvent, n)
+		if err := ParallelFor(ctx, n, workers, func(r int) { locals[r] = metaEventsRank(tr.PerRank[r]) }); err != nil {
+			return nil, err
+		}
+		for _, local := range locals { // rank order, as in the reference schedule
+			addMetaEvents(events, local)
+		}
 	}
-
+	paths := make([]string, 0, len(events))
+	for p := range events {
+		paths = append(paths, p)
+	}
+	per := make([][]MetaConflict, len(paths))
+	if err := ParallelFor(ctx, len(paths), workers, func(i int) {
+		per[i] = metaConflictsForPath(paths[i], events[paths[i]])
+	}); err != nil {
+		return nil, err
+	}
 	var out []MetaConflict
-	for p, evs := range events {
-		out = append(out, metaConflictsForPath(p, evs)...)
+	for _, cs := range per {
+		out = append(out, cs...)
 	}
 	sortMetaConflicts(out)
-	return out
+	return out, nil
 }
 
 // metaEventsRank collects one rank's metadata events (with create-probe

@@ -1,15 +1,16 @@
 package core
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/recorder"
 )
 
-// OriginName maps a record's originating layer to the categories Figure 3
+// originName maps a record's originating layer to the categories Figure 3
 // uses: the MPI library (MPI-IO), HDF5, other I/O libraries, or the
 // application itself.
-func OriginName(l recorder.Layer) string {
+func originName(l recorder.Layer) string {
 	switch l {
 	case recorder.LayerMPIIO:
 		return "MPI"
@@ -84,13 +85,40 @@ func (c *Census) Used(f recorder.Func) bool {
 // MetadataCensus reproduces the §6.4 analysis: it counts every POSIX
 // metadata/utility operation in the trace and attributes each call to the
 // I/O layer that issued it (the outermost enclosing library record, or the
-// application when none).
-func MetadataCensus(tr *recorder.Trace) *Census {
-	c := &Census{Counts: make(map[string]map[recorder.Func]int)}
-	for _, rs := range tr.PerRank {
-		censusRank(rs, c)
+// application when none). On a pool, per-rank partial censuses are merged
+// by addition (commutative, so any merge order is exact).
+func MetadataCensus(ctx context.Context, tr *recorder.Trace, workers int) (*Census, error) {
+	defer startPass("census")()
+	out := &Census{Counts: make(map[string]map[recorder.Func]int)}
+	n := len(tr.PerRank)
+	if EffectiveWorkers(workers) <= 1 || n <= 1 {
+		// Reference schedule: every rank tallies into one census in order.
+		if err := ParallelFor(ctx, n, 1, func(r int) { censusRank(tr.PerRank[r], out) }); err != nil {
+			return nil, err
+		}
+		return out, nil
 	}
-	return c
+	partial := make([]*Census, n)
+	if err := ParallelFor(ctx, n, workers, func(r int) {
+		c := &Census{Counts: make(map[string]map[recorder.Func]int)}
+		censusRank(tr.PerRank[r], c)
+		partial[r] = c
+	}); err != nil {
+		return nil, err
+	}
+	for _, c := range partial {
+		for origin, m := range c.Counts {
+			dst, ok := out.Counts[origin]
+			if !ok {
+				dst = make(map[recorder.Func]int)
+				out.Counts[origin] = dst
+			}
+			for f, v := range m {
+				dst[f] += v
+			}
+		}
+	}
+	return out, nil
 }
 
 // censusRank tallies one rank's metadata operations into c.
@@ -101,7 +129,7 @@ func censusRank(rs []recorder.Record, c *Census) {
 		if !r.IsMetadataOp() {
 			continue
 		}
-		origin := OriginName(origins[i])
+		origin := originName(origins[i])
 		m, ok := c.Counts[origin]
 		if !ok {
 			m = make(map[recorder.Func]int)

@@ -8,9 +8,9 @@ import (
 )
 
 // Telemetry for the parallel analysis engine. Pool instruments are updated
-// inside ParallelForCtx (one atomic add per task — a no-op load when the
+// inside ParallelFor (one atomic add per task — a no-op load when the
 // registry is disabled); pass-level spans and duration histograms wrap each
-// *ParallelCtx entry point, so a -trace-spans export shows the extraction /
+// pass entry point, so a -trace-spans export shows the extraction /
 // conflict / patterns / census / metadata passes as nested intervals with
 // per-worker lanes underneath.
 //
@@ -82,13 +82,13 @@ func heapAllocBytes() uint64 {
 }
 
 // startFusedPass wraps one fused conflict pass with the standard wall-time
-// span/histogram plus a bytes-allocated histogram. Allocation attribution is
-// goroutine-agnostic (it reads the process-wide counter), so it is only
-// meaningful for the serial fused pass; the parallel path records wall time
-// only.
-func startFusedPass() func() {
+// span/histogram plus, when serial, a bytes-allocated histogram. Allocation
+// attribution is goroutine-agnostic (it reads the process-wide counter), so
+// it is only meaningful for a pass on one worker; a pooled pass records
+// wall time only.
+func startFusedPass(serial bool) func() {
 	done := startPass("fused-conflicts")
-	if !obs.Default().Enabled() {
+	if !serial || !obs.Default().Enabled() {
 		return done
 	}
 	before := heapAllocBytes()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sync"
 )
@@ -58,8 +59,7 @@ func DetectOverlaps(ivs []Interval, onPair func(OverlapPair)) RankPairTable {
 // counted in a pooled dense table and converted to the map form once at the
 // end, so the hot loop never hashes.
 func sweepOverlaps(ivs []Interval, wantTable bool, onPair func(OverlapPair)) RankPairTable {
-	n := len(ivs)
-	if n < 2 {
+	if len(ivs) < 2 {
 		if wantTable {
 			return make(RankPairTable)
 		}
@@ -67,19 +67,24 @@ func sweepOverlaps(ivs []Interval, wantTable bool, onPair func(OverlapPair)) Ran
 	}
 	sb := sweepBufs.Get().(*sweepBuf)
 	defer sweepBufs.Put(sb)
-	if cap(sb.idx) < n {
-		sb.idx = make([]int32, n)
+	if cap(sb.idx) < len(ivs) {
+		sb.idx = make([]int32, 0, len(ivs))
 	}
-	idx := sb.idx[:n]
-	minRank, maxRank := ivs[0].Rank, ivs[0].Rank
-	for i := 0; i < n; i++ {
-		idx[i] = int32(i)
-		if r := ivs[i].Rank; r < minRank {
-			minRank = r
-		} else if r > maxRank {
-			maxRank = r
+	// An empty interval transfers no bytes and overlaps nothing; leaving it
+	// out of the permutation also keeps the sweep from pairing it with an
+	// interval that starts at its offset only when the tie order puts that
+	// interval first.
+	idx := sb.idx[:0]
+	minRank, maxRank := int32(math.MaxInt32), int32(math.MinInt32)
+	for i := range ivs {
+		if ivs[i].Oe <= ivs[i].Os {
+			continue
 		}
+		idx = append(idx, int32(i))
+		minRank = min(minRank, ivs[i].Rank)
+		maxRank = max(maxRank, ivs[i].Rank)
 	}
+	n := len(idx)
 	// Total order (offset, time, index): deterministic regardless of input
 	// permutation, and a typed comparator — no reflect-based swaps.
 	slices.SortFunc(idx, func(a, b int32) int {
@@ -170,35 +175,11 @@ func rankKey(a, b int32) [2]int32 {
 }
 
 // earlier deterministically orders two intervals by entry time, breaking
-// timestamp ties by slice index so Algorithm 1 and the brute-force oracle
-// always agree.
+// timestamp ties by slice index so Algorithm 1 and its test oracles
+// (brute force, k-way merge) always agree.
 func earlier(ivs []Interval, i, j int) bool {
 	if ivs[i].T != ivs[j].T {
 		return ivs[i].T < ivs[j].T
 	}
 	return i < j
-}
-
-// DetectOverlapsBruteForce is the O(n²) reference implementation used by
-// property tests to validate Algorithm 1.
-func DetectOverlapsBruteForce(ivs []Interval, onPair func(OverlapPair)) RankPairTable {
-	table := make(RankPairTable)
-	for i := 0; i < len(ivs); i++ {
-		for j := i + 1; j < len(ivs); j++ {
-			a, b := &ivs[i], &ivs[j]
-			if a.Os < b.Oe && b.Os < a.Oe {
-				table[rankKey(a.Rank, b.Rank)]++
-				if onPair != nil {
-					first, second := i, j
-					if earlier(ivs, second, first) {
-						first, second = second, first
-					}
-					if ivs[first].Write {
-						onPair(OverlapPair{A: first, B: second})
-					}
-				}
-			}
-		}
-	}
-	return table
 }

@@ -133,3 +133,23 @@ func TestOverlapIdenticalOffsets(t *testing.T) {
 		t.Fatalf("expected 3 pairs, got %v", pairs)
 	}
 }
+
+// TestOverlapEmptyIntervalOverlapsNothing: a zero-length interval shares no
+// byte with anything, whatever the timestamp order of the tuples that tie
+// on its offset.
+func TestOverlapEmptyIntervalOverlapsNothing(t *testing.T) {
+	for _, emptyT := range []uint64{1, 3} {
+		ivs := []Interval{
+			iv(emptyT, 0, 5, 5, true),
+			iv(2, 1, 5, 10, true),
+			iv(4, 2, 0, 10, true), // contains the empty interval's offset
+		}
+		pairs, table := collectPairs(ivs, DetectOverlaps)
+		if table[rankKey(0, 1)] != 0 || table[rankKey(0, 2)] != 0 {
+			t.Fatalf("empty interval at t=%d counted as overlapping: %v", emptyT, table)
+		}
+		if want := []OverlapPair{{A: 1, B: 2}}; !reflect.DeepEqual(pairs, want) {
+			t.Fatalf("empty interval at t=%d: pairs = %v, want %v", emptyT, pairs, want)
+		}
+	}
+}

@@ -2,30 +2,33 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/pfs"
-	"repro/internal/recorder"
 )
 
 // Parallel analysis engine. Every pass of the paper's offline analysis is
 // embarrassingly parallel across rank streams (extraction, census, metadata
 // events) or across files (conflict detection, pattern classification), so
-// each *Parallel entry point shards its input over a bounded worker pool
-// and then performs a deterministic merge: shard results land in
-// index-addressed slots and are folded back in input (rank or path) order,
-// so the output is identical to the serial pass — the serial functions
-// remain the correctness oracle the equivalence tests compare against.
+// each pass has exactly one entry point of the form
 //
-// Every entry point has a Ctx variant that threads a context.Context through
-// the pool: cancellation is observed at task boundaries (no index is handed
-// out after the context is done; in-flight tasks finish), and the variant
-// returns ctx.Err() instead of a partial result. The plain names wrap the
-// Ctx variants with context.Background().
+//	Pass(ctx, input, workers) (result, error)
+//
+// which shards its input over a bounded worker pool and then performs a
+// deterministic merge: shard results land in index-addressed slots and are
+// folded back in input (rank or path) order, so the output is the same at
+// every pool size. workers <= 1 is the reference schedule — ParallelFor
+// degenerates to an in-order loop on the calling goroutine, and extraction
+// walks every rank into one shared map — and the equivalence suites compare
+// it against every other pool size.
+//
+// Cancellation is observed at task boundaries (no index is handed out after
+// the context is done; in-flight tasks finish), and a cancelled pass
+// returns ctx.Err() instead of a partial result.
 
 // EffectiveWorkers normalizes a requested worker count: values <= 0 select
 // runtime.GOMAXPROCS(0), everything else is used as given.
@@ -39,18 +42,13 @@ func EffectiveWorkers(workers int) int {
 // ParallelFor runs fn(i) for every i in [0, n) on a bounded pool of
 // workers goroutines (see EffectiveWorkers; capped at n). Indices are
 // handed out by an atomic counter, so the pool load-balances uneven work
-// items. fn must be safe to call concurrently for distinct indices; the
-// call returns once every index has been processed.
-func ParallelFor(n, workers int, fn func(i int)) {
-	ParallelForCtx(context.Background(), n, workers, fn)
-}
-
-// ParallelForCtx is ParallelFor under a context: the pool stops handing out
-// indices once ctx is done and returns ctx.Err(). Cancellation is checked
-// before every index — one in-flight fn per worker may still complete, so a
-// cancelled call stops within one task boundary. A nil error means every
-// index ran.
-func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
+// items. fn must be safe to call concurrently for distinct indices.
+//
+// The pool stops handing out indices once ctx is done and returns
+// ctx.Err(). Cancellation is checked before every index — one in-flight fn
+// per worker may still complete, so a cancelled call stops within one task
+// boundary. A nil error means every index ran.
+func ParallelFor(ctx context.Context, n, workers int, fn func(i int)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -114,287 +112,72 @@ func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	return ctx.Err()
 }
 
-// ExtractParallel is the sharded Extract: rank streams are processed
-// concurrently into per-rank partial maps, merged in rank order (which
-// reproduces the serial append order of every per-path table), and the
-// per-file §5.2 annotation pass is then sharded across files. Output is
-// identical to Extract.
-func ExtractParallel(tr *recorder.Trace, workers int) []*FileAccesses {
-	fas, _ := ExtractParallelCtx(context.Background(), tr, workers)
-	return fas
-}
-
-// ExtractParallelCtx is ExtractParallel under a context.
-func ExtractParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) ([]*FileAccesses, error) {
+// extractRanks is the rank scheduler behind Extract and ExtractCursors;
+// walk folds rank r's records into files. On one worker every rank walks
+// into one shared map in rank order (the reference schedule). On a pool
+// each rank walks into its own partial map, and the partials are merged in
+// rank order, which reproduces the reference append order of every
+// per-path table. The per-file §5.2 annotation is then sharded across
+// files. A walk error fails the extraction; the lowest-ranked one is
+// reported.
+func extractRanks(ctx context.Context, n, workers int, walk func(r int, files map[string]*FileAccesses) error) ([]*FileAccesses, error) {
 	defer startPass("extract")()
-	n := len(tr.PerRank)
+	var files map[string]*FileAccesses
 	if EffectiveWorkers(workers) <= 1 || n <= 1 {
-		if err := ctx.Err(); err != nil {
+		files = make(map[string]*FileAccesses)
+		for r := 0; r < n; r++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			if err := walk(r, files); err != nil {
+				return nil, fmt.Errorf("core: extracting rank %d: %w", r, err)
+			}
+		}
+	} else {
+		partial := make([]map[string]*FileAccesses, n)
+		errs := make([]error, n)
+		if err := ParallelFor(ctx, n, workers, func(r int) {
+			partial[r] = make(map[string]*FileAccesses)
+			errs[r] = walk(r, partial[r])
+		}); err != nil {
 			return nil, err
 		}
-		return Extract(tr), nil
+		for r, err := range errs {
+			if err != nil {
+				return nil, fmt.Errorf("core: extracting rank %d: %w", r, err)
+			}
+		}
+		files = mergePartials(partial)
 	}
-	partial := make([]map[string]*FileAccesses, n)
-	if err := ParallelForCtx(ctx, n, workers, func(r int) {
-		m := make(map[string]*FileAccesses)
-		extractRank(tr.PerRank[r], m)
-		partial[r] = m
-	}); err != nil {
-		return nil, err
-	}
-
-	out := sortedFiles(mergePartials(partial)) // rank order = serial append order
-	if err := ParallelForCtx(ctx, len(out), workers, func(i int) { annotate(out[i]) }); err != nil {
+	out := sortedFiles(files)
+	if err := ParallelFor(ctx, len(out), workers, func(i int) { annotate(out[i]) }); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// mergePartials folds per-rank partial extraction maps in rank order, which
+// reproduces the serial append order of every per-path table.
+func mergePartials(partial []map[string]*FileAccesses) map[string]*FileAccesses {
+	merged := make(map[string]*FileAccesses)
+	for r := range partial {
+		for p, part := range partial[r] {
+			dst, ok := merged[p]
+			if !ok {
+				merged[p] = part
+				continue
+			}
+			dst.Intervals = append(dst.Intervals, part.Intervals...)
+			mergeTimes(dst.OpensByRank, part.OpensByRank)
+			mergeTimes(dst.ClosesByRank, part.ClosesByRank)
+			mergeTimes(dst.CommitsByRank, part.CommitsByRank)
+		}
+	}
+	return merged
 }
 
 func mergeTimes(dst, src map[int32][]uint64) {
 	for r, ts := range src {
 		dst[r] = append(dst[r], ts...)
 	}
-}
-
-// ConflictsForFiles runs per-file conflict detection over already-extracted
-// accesses on a worker pool and merges in path order — the shared core of
-// AnalyzeConflictsParallel and semfs.AnalyzeParallel (which reuses one
-// extraction across passes). fas must not be mutated concurrently.
-func ConflictsForFiles(fas []*FileAccesses, model pfs.Semantics, workers int) (map[string][]Conflict, ConflictSignature) {
-	byFile, sig, _ := ConflictsForFilesCtx(context.Background(), fas, model, workers)
-	return byFile, sig
-}
-
-// ConflictsForFilesCtx is ConflictsForFiles under a context.
-func ConflictsForFilesCtx(ctx context.Context, fas []*FileAccesses, model pfs.Semantics, workers int) (map[string][]Conflict, ConflictSignature, error) {
-	defer startPass("conflicts")()
-	per := make([][]Conflict, len(fas))
-	if err := ParallelForCtx(ctx, len(fas), workers, func(i int) { per[i] = DetectConflicts(fas[i], model) }); err != nil {
-		return nil, ConflictSignature{}, err
-	}
-	byFile := make(map[string][]Conflict)
-	var all []Conflict
-	for i, fa := range fas {
-		if len(per[i]) > 0 {
-			byFile[fa.Path] = per[i]
-			all = append(all, per[i]...)
-		}
-	}
-	return byFile, Signature(all), nil
-}
-
-// AnalyzeConflictsParallel is the sharded AnalyzeConflicts.
-func AnalyzeConflictsParallel(tr *recorder.Trace, model pfs.Semantics, workers int) (map[string][]Conflict, ConflictSignature) {
-	return ConflictsForFiles(ExtractParallel(tr, workers), model, workers)
-}
-
-// ConflictsAllForFiles runs the fused multi-model sweep over
-// already-extracted accesses on a worker pool, merging in path order —
-// per-model results are identical to ConflictsForFiles. fas must not be
-// mutated concurrently.
-func ConflictsAllForFiles(fas []*FileAccesses, models []pfs.Semantics, workers int) []ModelConflicts {
-	ms, _ := ConflictsAllForFilesCtx(context.Background(), fas, models, workers)
-	return ms
-}
-
-// ConflictsAllForFilesCtx is ConflictsAllForFiles under a context.
-func ConflictsAllForFilesCtx(ctx context.Context, fas []*FileAccesses, models []pfs.Semantics, workers int) ([]ModelConflicts, error) {
-	defer startPass("fused-conflicts")()
-	per := make([][][]Conflict, len(fas))
-	if err := ParallelForCtx(ctx, len(fas), workers, func(i int) {
-		per[i] = DetectConflictsMulti(fas[i], models)
-	}); err != nil {
-		return nil, err
-	}
-	ms := make([]ModelConflicts, len(models))
-	for j, m := range models {
-		ms[j] = ModelConflicts{Model: m, ByFile: make(map[string][]Conflict)}
-	}
-	for i, fa := range fas { // path order
-		for j, cs := range per[i] {
-			if len(cs) > 0 {
-				ms[j].ByFile[fa.Path] = cs
-				ms[j].Signature.merge(Signature(cs))
-			}
-		}
-	}
-	return ms, nil
-}
-
-// AnalyzeParallel is the sharded Analyze: one (cached) extraction, then one
-// fused sweep evaluating both model predicates per candidate pair.
-func AnalyzeParallel(tr *recorder.Trace, workers int) Verdict {
-	v, _ := AnalyzeParallelCtx(context.Background(), tr, workers)
-	return v
-}
-
-// AnalyzeParallelCtx is AnalyzeParallel under a context: a cancelled ctx
-// stops the sweep within one per-file task boundary and returns ctx.Err().
-func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (Verdict, error) {
-	defer startPass("analyze")()
-	fas, err := ExtractSharedCtx(ctx, tr, workers)
-	if err != nil {
-		return Verdict{}, err
-	}
-	ms, err := ConflictsAllForFilesCtx(ctx, fas, []pfs.Semantics{pfs.Session, pfs.Commit}, workers)
-	if err != nil {
-		return Verdict{}, err
-	}
-	return VerdictFrom(ms[0].Signature, ms[1].Signature), nil
-}
-
-// MetadataCensusParallel is the sharded MetadataCensus: per-rank partial
-// censuses merged by addition (commutative, so any merge order is exact).
-func MetadataCensusParallel(tr *recorder.Trace, workers int) *Census {
-	c, _ := MetadataCensusParallelCtx(context.Background(), tr, workers)
-	return c
-}
-
-// MetadataCensusParallelCtx is MetadataCensusParallel under a context.
-func MetadataCensusParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*Census, error) {
-	defer startPass("census")()
-	n := len(tr.PerRank)
-	if EffectiveWorkers(workers) <= 1 || n <= 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return MetadataCensus(tr), nil
-	}
-	partial := make([]*Census, n)
-	if err := ParallelForCtx(ctx, n, workers, func(r int) {
-		c := &Census{Counts: make(map[string]map[recorder.Func]int)}
-		censusRank(tr.PerRank[r], c)
-		partial[r] = c
-	}); err != nil {
-		return nil, err
-	}
-	out := &Census{Counts: make(map[string]map[recorder.Func]int)}
-	for _, c := range partial {
-		for origin, m := range c.Counts {
-			dst, ok := out.Counts[origin]
-			if !ok {
-				dst = make(map[recorder.Func]int)
-				out.Counts[origin] = dst
-			}
-			for f, v := range m {
-				dst[f] += v
-			}
-		}
-	}
-	return out, nil
-}
-
-// DetectMetadataConflictsParallel is the sharded DetectMetadataConflicts:
-// per-rank event collection in parallel, folded in rank order, then the
-// per-path scans sharded across paths. The final total-order sort makes the
-// merge order immaterial.
-func DetectMetadataConflictsParallel(tr *recorder.Trace, workers int) []MetaConflict {
-	cs, _ := DetectMetadataConflictsParallelCtx(context.Background(), tr, workers)
-	return cs
-}
-
-// DetectMetadataConflictsParallelCtx is DetectMetadataConflictsParallel
-// under a context.
-func DetectMetadataConflictsParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) ([]MetaConflict, error) {
-	defer startPass("meta-conflicts")()
-	n := len(tr.PerRank)
-	if EffectiveWorkers(workers) <= 1 || n <= 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return DetectMetadataConflicts(tr), nil
-	}
-	locals := make([][]metaEvent, n)
-	if err := ParallelForCtx(ctx, n, workers, func(r int) { locals[r] = metaEventsRank(tr.PerRank[r]) }); err != nil {
-		return nil, err
-	}
-	events := make(map[string][]metaEvent)
-	for _, local := range locals { // rank order, as in the serial pass
-		addMetaEvents(events, local)
-	}
-	paths := make([]string, 0, len(events))
-	for p := range events {
-		paths = append(paths, p)
-	}
-	per := make([][]MetaConflict, len(paths))
-	if err := ParallelForCtx(ctx, len(paths), workers, func(i int) {
-		per[i] = metaConflictsForPath(paths[i], events[paths[i]])
-	}); err != nil {
-		return nil, err
-	}
-	var out []MetaConflict
-	for _, cs := range per {
-		out = append(out, cs...)
-	}
-	sortMetaConflicts(out)
-	return out, nil
-}
-
-// GlobalPatternParallel is the sharded GlobalPattern (per-file mixes are
-// summed; addition is commutative so the merge is exact).
-func GlobalPatternParallel(fas []*FileAccesses, workers int) PatternMix {
-	m, _ := patternParallel(context.Background(), fas, workers, globalPatternFile)
-	return m
-}
-
-// GlobalPatternParallelCtx is GlobalPatternParallel under a context.
-func GlobalPatternParallelCtx(ctx context.Context, fas []*FileAccesses, workers int) (PatternMix, error) {
-	return patternParallel(ctx, fas, workers, globalPatternFile)
-}
-
-// LocalPatternParallel is the sharded LocalPattern.
-func LocalPatternParallel(fas []*FileAccesses, workers int) PatternMix {
-	m, _ := patternParallel(context.Background(), fas, workers, localPatternFile)
-	return m
-}
-
-// LocalPatternParallelCtx is LocalPatternParallel under a context.
-func LocalPatternParallelCtx(ctx context.Context, fas []*FileAccesses, workers int) (PatternMix, error) {
-	return patternParallel(ctx, fas, workers, localPatternFile)
-}
-
-func patternParallel(ctx context.Context, fas []*FileAccesses, workers int, file func(*FileAccesses) PatternMix) (PatternMix, error) {
-	defer startPass("patterns")()
-	per := make([]PatternMix, len(fas))
-	if err := ParallelForCtx(ctx, len(fas), workers, func(i int) { per[i] = file(fas[i]) }); err != nil {
-		return PatternMix{}, err
-	}
-	var mix PatternMix
-	for _, m := range per {
-		mix = mix.plus(m)
-	}
-	return mix, nil
-}
-
-// ClassifyHighLevelParallel is the sharded ClassifyHighLevel: the per-file
-// summaries (the expensive part — per-rank layout classification) are
-// computed concurrently, then compacted in path order and grouped serially,
-// reproducing the serial family order exactly. opts.Exclude, if supplied,
-// must be safe for concurrent calls.
-func ClassifyHighLevelParallel(fas []*FileAccesses, opts HLOptions, workers int) []HighLevelPattern {
-	ps, _ := ClassifyHighLevelParallelCtx(context.Background(), fas, opts, workers)
-	return ps
-}
-
-// ClassifyHighLevelParallelCtx is ClassifyHighLevelParallel under a context.
-func ClassifyHighLevelParallelCtx(ctx context.Context, fas []*FileAccesses, opts HLOptions, workers int) ([]HighLevelPattern, error) {
-	defer startPass("classify")()
-	o := opts.withDefaults()
-	slots := make([]*fileSummary, len(fas))
-	if err := ParallelForCtx(ctx, len(fas), workers, func(i int) {
-		fa := fas[i]
-		if o.Exclude(fa.Path) || len(fa.Intervals) == 0 {
-			return
-		}
-		slots[i] = summarize(fa, o.MetaSizeThreshold)
-	}); err != nil {
-		return nil, err
-	}
-	sums := make([]*fileSummary, 0, len(slots))
-	for _, s := range slots {
-		if s != nil {
-			sums = append(sums, s)
-		}
-	}
-	return groupSummaries(sums, o.WorldSize), nil
 }

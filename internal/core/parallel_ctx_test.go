@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestParallelForCtxPreCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int32
-		err := ParallelForCtx(ctx, 100, workers, func(i int) { ran.Add(1) })
+		err := ParallelFor(ctx, 100, workers, func(i int) { ran.Add(1) })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want Canceled", workers, err)
 		}
@@ -31,7 +32,7 @@ func TestParallelForCtxStopsWithinTaskBoundary(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran atomic.Int32
-	err := ParallelForCtx(ctx, n, workers, func(i int) {
+	err := ParallelFor(ctx, n, workers, func(i int) {
 		if ran.Add(1) == cancelAt {
 			cancel()
 		}
@@ -48,7 +49,7 @@ func TestParallelForCtxStopsWithinTaskBoundary(t *testing.T) {
 
 func TestParallelForCtxNilErrorRunsAll(t *testing.T) {
 	var ran atomic.Int32
-	if err := ParallelForCtx(context.Background(), 50, 4, func(i int) { ran.Add(1) }); err != nil {
+	if err := ParallelFor(bg, 50, 4, func(i int) { ran.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
 	if ran.Load() != 50 {
@@ -85,29 +86,58 @@ func synthTrace(ranks, filesPerRank int) *recorder.Trace {
 	return tr
 }
 
+// TestAnalyzeParallelCtxCancelled runs every pass entry point under a
+// cancelled context, on the reference schedule and on a pool: each must
+// return context.Canceled, not a partial result.
 func TestAnalyzeParallelCtxCancelled(t *testing.T) {
 	tr := synthTrace(8, 40)
+	fas := must(Extract(bg, tr, 1))
+	uncached := synthTrace(8, 40)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := AnalyzeParallelCtx(ctx, tr, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AnalyzeParallelCtx err = %v, want Canceled", err)
+	passes := []struct {
+		name string
+		run  func(workers int) error
+	}{
+		{"Extract", func(w int) error { _, err := Extract(ctx, tr, w); return err }},
+		{"ExtractCursors", func(w int) error {
+			cursors := make([]RecordCursor, len(tr.PerRank))
+			for r, rs := range tr.PerRank {
+				cursors[r] = SliceCursor(rs)
+			}
+			_, err := ExtractCursors(ctx, cursors, w)
+			return err
+		}},
+		{"ExtractSharedCtx", func(w int) error { _, err := ExtractSharedCtx(ctx, uncached, w); return err }},
+		{"Conflicts", func(w int) error {
+			_, err := Conflicts(ctx, fas, []pfs.Semantics{pfs.Session, pfs.Commit}, w)
+			return err
+		}},
+		{"Analyze", func(w int) error { _, err := Analyze(ctx, tr, w); return err }},
+		{"MetadataCensus", func(w int) error { _, err := MetadataCensus(ctx, tr, w); return err }},
+		{"DetectMetadataConflicts", func(w int) error { _, err := DetectMetadataConflicts(ctx, tr, w); return err }},
+		{"GlobalPattern", func(w int) error { _, err := GlobalPattern(ctx, fas, w); return err }},
+		{"LocalPattern", func(w int) error { _, err := LocalPattern(ctx, fas, w); return err }},
+		{"ClassifyHighLevel", func(w int) error {
+			_, err := ClassifyHighLevel(ctx, fas, HLOptions{WorldSize: 8}, w)
+			return err
+		}},
 	}
-	if _, err := ExtractParallelCtx(ctx, tr, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ExtractParallelCtx err = %v, want Canceled", err)
+	for _, p := range passes {
+		for _, w := range []int{1, 4} {
+			if err := p.run(w); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s/workers=%d: err = %v, want Canceled", p.name, w, err)
+			}
+		}
 	}
-	if _, _, err := ConflictsForFilesCtx(ctx, nil, pfs.Session, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ConflictsForFilesCtx err = %v, want Canceled", err)
+	// A cancelled shared extraction is not cached: the next call extracts.
+	if got := must(ExtractSharedCtx(bg, uncached, 4)); !reflect.DeepEqual(got, must(Extract(bg, uncached, 1))) {
+		t.Fatal("shared extraction after a cancelled one diverges from Extract")
 	}
-	if _, err := MetadataCensusParallelCtx(ctx, tr, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("MetadataCensusParallelCtx err = %v, want Canceled", err)
+	// And uncancelled passes agree across schedules.
+	if got, want := must(Analyze(bg, tr, 4)), must(Analyze(bg, tr, 1)); got != want {
+		t.Fatalf("Analyze at 4 workers = %+v; want %+v", got, want)
 	}
-	if _, err := DetectMetadataConflictsParallelCtx(ctx, tr, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("DetectMetadataConflictsParallelCtx err = %v, want Canceled", err)
-	}
-	// And uncancelled Ctx calls agree with the plain entry points.
-	want := AnalyzeParallel(tr, 4)
-	got, err := AnalyzeParallelCtx(context.Background(), tr, 4)
-	if err != nil || got != want {
-		t.Fatalf("AnalyzeParallelCtx = %+v, %v; want %+v", got, err, want)
-	}
+	InvalidateExtraction(tr)
+	InvalidateExtraction(uncached)
 }

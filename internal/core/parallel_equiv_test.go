@@ -134,64 +134,67 @@ func randomTrace(rng *rand.Rand) *recorder.Trace {
 
 var equivWorkerCounts = []int{2, 3, 8, 64}
 
-// TestPropertyParallelAnalysisEquivalence drives every sharded pass with
-// randomized traces and asserts exact agreement with its serial oracle:
-// extraction, conflict detection per model (verdicts and per-file conflict
-// lists), pattern classification and mixes, the metadata census and the
-// metadata-conflict list.
+// TestPropertyParallelAnalysisEquivalence drives every pass with
+// randomized traces and asserts exact agreement between the reference
+// schedule (workers=1) and every pool size: extraction, conflict detection
+// per model (fused, against the per-model ConflictsOverFiles oracle:
+// verdicts and per-file conflict lists), pattern classification and mixes,
+// the metadata census and the metadata-conflict list.
 func TestPropertyParallelAnalysisEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
+	models := []pfs.Semantics{pfs.Session, pfs.Commit, pfs.Eventual}
 	for trial := 0; trial < 120; trial++ {
 		tr := randomTrace(rng)
-		fas := Extract(tr)
-		hl := ClassifyHighLevel(fas, HLOptions{WorldSize: tr.Meta.Ranks})
-		global, local := GlobalPattern(fas), LocalPattern(fas)
-		census := MetadataCensus(tr)
-		metas := DetectMetadataConflicts(tr)
-		verdict := Analyze(tr)
+		hlOpts := HLOptions{WorldSize: tr.Meta.Ranks}
+		fas := must(Extract(bg, tr, 1))
+		hl := must(ClassifyHighLevel(bg, fas, hlOpts, 1))
+		global, local := must(GlobalPattern(bg, fas, 1)), must(LocalPattern(bg, fas, 1))
+		census := must(MetadataCensus(bg, tr, 1))
+		metas := must(DetectMetadataConflicts(bg, tr, 1))
+		verdict := must(Analyze(bg, tr, 1))
 		type modelConflicts struct {
 			byFile map[string][]Conflict
 			sig    ConflictSignature
 		}
-		models := map[pfs.Semantics]modelConflicts{}
-		for _, model := range []pfs.Semantics{pfs.Session, pfs.Commit, pfs.Eventual} {
-			byFile, sig := AnalyzeConflicts(tr, model)
-			models[model] = modelConflicts{byFile, sig}
+		want := make([]modelConflicts, len(models))
+		for i, model := range models {
+			byFile, sig := ConflictsOverFiles(fas, model)
+			want[i] = modelConflicts{byFile, sig}
 		}
 
 		for _, w := range equivWorkerCounts {
 			ctx := fmt.Sprintf("trial %d workers %d", trial, w)
-			if got := ExtractParallel(tr, w); !reflect.DeepEqual(fas, got) {
-				t.Fatalf("%s: ExtractParallel diverges", ctx)
+			if got := must(Extract(bg, tr, w)); !reflect.DeepEqual(fas, got) {
+				t.Fatalf("%s: Extract diverges", ctx)
 			}
-			for model, want := range models {
-				gotByFile, gotSig := AnalyzeConflictsParallel(tr, model, w)
-				if !reflect.DeepEqual(want.byFile, gotByFile) {
-					t.Fatalf("%s: conflicts under %v diverge", ctx, model)
+			for i, got := range must(Conflicts(bg, must(Extract(bg, tr, w)), models, w)) {
+				if !reflect.DeepEqual(want[i].byFile, got.ByFile) {
+					t.Fatalf("%s: conflicts under %v diverge", ctx, models[i])
 				}
-				if want.sig != gotSig {
-					t.Fatalf("%s: signature under %v diverges: %+v vs %+v", ctx, model, want.sig, gotSig)
+				if want[i].sig != got.Signature {
+					t.Fatalf("%s: signature under %v diverges: %+v vs %+v", ctx, models[i], want[i].sig, got.Signature)
 				}
 			}
-			if got := AnalyzeParallel(tr, w); got != verdict {
+			if got := must(Analyze(bg, tr, w)); got != verdict {
 				t.Fatalf("%s: verdict diverges: %+v vs %+v", ctx, verdict, got)
 			}
-			if got := ClassifyHighLevelParallel(fas, HLOptions{WorldSize: tr.Meta.Ranks}, w); !reflect.DeepEqual(hl, got) {
+			if got := must(ClassifyHighLevel(bg, fas, hlOpts, w)); !reflect.DeepEqual(hl, got) {
 				t.Fatalf("%s: high-level patterns diverge:\n%+v\n%+v", ctx, hl, got)
 			}
-			if got := GlobalPatternParallel(fas, w); got != global {
+			if got := must(GlobalPattern(bg, fas, w)); got != global {
 				t.Fatalf("%s: global mix diverges: %+v vs %+v", ctx, global, got)
 			}
-			if got := LocalPatternParallel(fas, w); got != local {
+			if got := must(LocalPattern(bg, fas, w)); got != local {
 				t.Fatalf("%s: local mix diverges: %+v vs %+v", ctx, local, got)
 			}
-			if got := MetadataCensusParallel(tr, w); !reflect.DeepEqual(census, got) {
+			if got := must(MetadataCensus(bg, tr, w)); !reflect.DeepEqual(census, got) {
 				t.Fatalf("%s: census diverges", ctx)
 			}
-			if got := DetectMetadataConflictsParallel(tr, w); !reflect.DeepEqual(metas, got) {
+			if got := must(DetectMetadataConflicts(bg, tr, w)); !reflect.DeepEqual(metas, got) {
 				t.Fatalf("%s: metadata conflicts diverge:\n%v\n%v", ctx, metas, got)
 			}
 		}
+		InvalidateExtraction(tr)
 	}
 }
 
@@ -203,9 +206,9 @@ func TestPropertyMetaConflictOrderTotal(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 60; trial++ {
 		tr := randomTrace(rng)
-		want := DetectMetadataConflicts(tr)
+		want := must(DetectMetadataConflicts(bg, tr, 1))
 		for rep := 0; rep < 5; rep++ {
-			if got := DetectMetadataConflicts(tr); !reflect.DeepEqual(want, got) {
+			if got := must(DetectMetadataConflicts(bg, tr, 1)); !reflect.DeepEqual(want, got) {
 				t.Fatalf("trial %d: serial metadata conflict order unstable across runs", trial)
 			}
 		}

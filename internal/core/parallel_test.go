@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync/atomic"
@@ -10,11 +11,24 @@ import (
 	"repro/internal/recorder"
 )
 
+// bg is the context of every pass a test does not cancel.
+var bg = context.Background()
+
+// must unwraps the result of a pass run under bg, which cannot fail.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func TestParallelForCoversEveryIndex(t *testing.T) {
 	for _, workers := range []int{-3, 0, 1, 2, 7, 64} {
 		for _, n := range []int{0, 1, 2, 13, 100} {
 			hits := make([]int32, n)
-			ParallelFor(n, workers, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			if err := ParallelFor(bg, n, workers, func(i int) { atomic.AddInt32(&hits[i], 1) }); err != nil {
+				t.Fatal(err)
+			}
 			for i, h := range hits {
 				if h != 1 {
 					t.Fatalf("workers=%d n=%d: index %d hit %d times", workers, n, i, h)
@@ -36,8 +50,7 @@ func TestEffectiveWorkers(t *testing.T) {
 	}
 }
 
-// emptyTraces enumerates the degenerate inputs every parallel entry point
-// must survive: no ranks at all, and ranks with empty record streams.
+// emptyTraces enumerates the degenerate inputs every pass must survive: no ranks at all, and ranks with empty record streams.
 func emptyTraces() []*recorder.Trace {
 	return []*recorder.Trace{
 		{Meta: recorder.Meta{App: "none", Ranks: 0}},
@@ -48,20 +61,20 @@ func emptyTraces() []*recorder.Trace {
 func TestParallelAnalysisEmptyTrace(t *testing.T) {
 	for _, tr := range emptyTraces() {
 		for _, w := range []int{0, 1, 4} {
-			if got := ExtractParallel(tr, w); len(got) != 0 {
-				t.Fatalf("%s/w=%d: extracted %d files from empty trace", tr.Meta.App, w, len(got))
+			fas := must(Extract(bg, tr, w))
+			if len(fas) != 0 {
+				t.Fatalf("%s/w=%d: extracted %d files from empty trace", tr.Meta.App, w, len(fas))
 			}
-			byFile, sig := AnalyzeConflictsParallel(tr, pfs.Session, w)
-			if len(byFile) != 0 || sig.Any() {
+			if ms := must(Conflicts(bg, fas, []pfs.Semantics{pfs.Session}, w)); len(ms[0].ByFile) != 0 || ms[0].Signature.Any() {
 				t.Fatalf("%s/w=%d: conflicts from empty trace", tr.Meta.App, w)
 			}
-			if v := AnalyzeParallel(tr, w); v.Weakest != pfs.Session {
+			if v := must(Analyze(bg, tr, w)); v.Weakest != pfs.Session {
 				t.Fatalf("%s/w=%d: empty trace verdict %v", tr.Meta.App, w, v.Weakest)
 			}
-			if c := MetadataCensusParallel(tr, w); c.Total() != 0 {
+			if c := must(MetadataCensus(bg, tr, w)); c.Total() != 0 {
 				t.Fatalf("%s/w=%d: census of empty trace = %d", tr.Meta.App, w, c.Total())
 			}
-			if cs := DetectMetadataConflictsParallel(tr, w); len(cs) != 0 {
+			if cs := must(DetectMetadataConflicts(bg, tr, w)); len(cs) != 0 {
 				t.Fatalf("%s/w=%d: metadata conflicts from empty trace", tr.Meta.App, w)
 			}
 		}
@@ -77,13 +90,13 @@ func TestParallelWorkersExceedFiles(t *testing.T) {
 		{Rank: 0, Layer: recorder.LayerPOSIX, Func: recorder.FuncWrite, TStart: 3, TEnd: 4, Args: []int64{3, 10, 10}},
 		{Rank: 0, Layer: recorder.LayerPOSIX, Func: recorder.FuncClose, TStart: 5, TEnd: 6, Args: []int64{3}},
 	}}}
-	want := Extract(tr)
+	want := must(Extract(bg, tr, 1))
 	for _, w := range []int{2, 64} {
-		if got := ExtractParallel(tr, w); !reflect.DeepEqual(want, got) {
+		if got := must(Extract(bg, tr, w)); !reflect.DeepEqual(want, got) {
 			t.Fatalf("w=%d: extraction diverges on tiny trace", w)
 		}
 	}
-	if v := AnalyzeParallel(tr, 64); v != Analyze(tr) {
+	if v := must(Analyze(bg, tr, 64)); v != must(Analyze(bg, tr, 1)) {
 		t.Fatal("verdict diverges with 64 workers on a one-file trace")
 	}
 }
@@ -123,26 +136,27 @@ func TestParallelManySmallFilesStress(t *testing.T) {
 		tr.PerRank[r] = rs
 	}
 
-	fas := Extract(tr)
+	fas := must(Extract(bg, tr, 1))
 	if len(fas) < 40 {
 		t.Fatalf("stress trace only has %d files", len(fas))
 	}
-	wantVerdict := Analyze(tr)
-	wantByFile, wantSig := AnalyzeConflicts(tr, pfs.Session)
-	wantCensus := MetadataCensus(tr)
+	wantVerdict := must(Analyze(bg, tr, 1))
+	wantByFile, wantSig := ConflictsOverFiles(fas, pfs.Session)
+	wantCensus := must(MetadataCensus(bg, tr, 1))
 	for iter := 0; iter < 5; iter++ {
 		for _, w := range []int{4, 8} {
-			if got := ExtractParallel(tr, w); !reflect.DeepEqual(fas, got) {
+			got := must(Extract(bg, tr, w))
+			if !reflect.DeepEqual(fas, got) {
 				t.Fatalf("iter %d w=%d: extraction diverges", iter, w)
 			}
-			byFile, sig := AnalyzeConflictsParallel(tr, pfs.Session, w)
-			if !reflect.DeepEqual(wantByFile, byFile) || sig != wantSig {
+			ms := must(Conflicts(bg, got, []pfs.Semantics{pfs.Session}, w))
+			if !reflect.DeepEqual(wantByFile, ms[0].ByFile) || ms[0].Signature != wantSig {
 				t.Fatalf("iter %d w=%d: session conflicts diverge", iter, w)
 			}
-			if got := AnalyzeParallel(tr, w); got != wantVerdict {
+			if got := must(Analyze(bg, tr, w)); got != wantVerdict {
 				t.Fatalf("iter %d w=%d: verdict diverges", iter, w)
 			}
-			if got := MetadataCensusParallel(tr, w); !reflect.DeepEqual(wantCensus, got) {
+			if got := must(MetadataCensus(bg, tr, w)); !reflect.DeepEqual(wantCensus, got) {
 				t.Fatalf("iter %d w=%d: census diverges", iter, w)
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"path"
 	"sort"
 	"strings"
@@ -52,8 +53,8 @@ func (m PatternMix) Pct() (float64, float64, float64) {
 }
 
 // plus returns the element-wise sum of two mixes (class counts are
-// additive across files, which is what makes the per-file shard merge of
-// the parallel path exact).
+// additive across files, which is what makes the per-file shard merge
+// exact).
 func (m PatternMix) plus(o PatternMix) PatternMix {
 	return PatternMix{
 		Consecutive: m.Consecutive + o.Consecutive,
@@ -86,12 +87,8 @@ func classify(prev, next *Interval) AccessClass {
 
 // LocalPattern computes Figure 1(b): transitions between successive accesses
 // of each process to each file, aggregated over the whole trace.
-func LocalPattern(fas []*FileAccesses) PatternMix {
-	var mix PatternMix
-	for _, fa := range fas {
-		mix = mix.plus(localPatternFile(fa))
-	}
-	return mix
+func LocalPattern(ctx context.Context, fas []*FileAccesses, workers int) (PatternMix, error) {
+	return patternMix(ctx, fas, workers, localPatternFile)
 }
 
 // localPatternFile computes one file's local transition mix.
@@ -114,12 +111,23 @@ func localPatternFile(fa *FileAccesses) PatternMix {
 // GlobalPattern computes Figure 1(a): transitions between successive
 // accesses to each file in global time order, across all processes — the
 // request stream the PFS actually sees.
-func GlobalPattern(fas []*FileAccesses) PatternMix {
-	var mix PatternMix
-	for _, fa := range fas {
-		mix = mix.plus(globalPatternFile(fa))
+func GlobalPattern(ctx context.Context, fas []*FileAccesses, workers int) (PatternMix, error) {
+	return patternMix(ctx, fas, workers, globalPatternFile)
+}
+
+// patternMix sums one mix per file, computed on the worker pool (class
+// counts are additive, so the merge is exact).
+func patternMix(ctx context.Context, fas []*FileAccesses, workers int, file func(*FileAccesses) PatternMix) (PatternMix, error) {
+	defer startPass("patterns")()
+	per := make([]PatternMix, len(fas))
+	if err := ParallelFor(ctx, len(fas), workers, func(i int) { per[i] = file(fas[i]) }); err != nil {
+		return PatternMix{}, err
 	}
-	return mix
+	var mix PatternMix
+	for _, m := range per {
+		mix = mix.plus(m)
+	}
+	return mix, nil
 }
 
 // globalPatternFile computes one file's global transition mix.
@@ -239,21 +247,34 @@ type fileSummary struct {
 // determines how many processes access how many files concurrently, and
 // classifies the per-process in-file layout. A family of files written one
 // after another (a checkpoint series) counts as repeated X-1 phases; files
-// written concurrently count as X-M / X-N.
-func ClassifyHighLevel(fas []*FileAccesses, opts HLOptions) []HighLevelPattern {
+// written concurrently count as X-M / X-N. The per-file summaries (the
+// expensive part — per-rank layout classification) are computed on the
+// worker pool, then grouped in path order. opts.Exclude, if supplied, must
+// be safe for concurrent calls.
+func ClassifyHighLevel(ctx context.Context, fas []*FileAccesses, opts HLOptions, workers int) ([]HighLevelPattern, error) {
+	defer startPass("classify")()
 	o := opts.withDefaults()
-	var sums []*fileSummary
-	for _, fa := range fas {
+	slots := make([]*fileSummary, len(fas))
+	if err := ParallelFor(ctx, len(fas), workers, func(i int) {
+		fa := fas[i]
 		if o.Exclude(fa.Path) || len(fa.Intervals) == 0 {
-			continue
+			return
 		}
-		sums = append(sums, summarize(fa, o.MetaSizeThreshold))
+		slots[i] = summarize(fa, o.MetaSizeThreshold)
+	}); err != nil {
+		return nil, err
 	}
-	return groupSummaries(sums, o.WorldSize)
+	sums := make([]*fileSummary, 0, len(slots))
+	for _, s := range slots {
+		if s != nil {
+			sums = append(sums, s)
+		}
+	}
+	return groupSummaries(sums, o.WorldSize), nil
 }
 
-// groupSummaries is the family-grouping tail of ClassifyHighLevel, shared
-// with the parallel path: sums must be in fas (path-sorted) order.
+// groupSummaries is the family-grouping tail of ClassifyHighLevel: sums
+// must be in fas (path-sorted) order.
 func groupSummaries(sums []*fileSummary, worldSize int) []HighLevelPattern {
 	families := make(map[string][]*fileSummary)
 	for _, s := range sums {

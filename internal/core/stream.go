@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/recorder"
 )
@@ -201,74 +200,13 @@ func extractCursor(c RecordCursor, files map[string]*FileAccesses) error {
 }
 
 // ExtractCursors is Extract over per-rank cursors instead of materialized
-// slices: rank i's cursor plays the role of tr.PerRank[i]. Cursors are
-// single-use and each is consumed by exactly one worker.
-func ExtractCursors(cursors []RecordCursor, workers int) ([]*FileAccesses, error) {
-	return ExtractCursorsCtx(context.Background(), cursors, workers)
-}
-
-// ExtractCursorsCtx is ExtractCursors under a context. The output is
-// byte-identical to Extract on the same records at every worker count:
-// serial walks share one map in rank order, parallel walks fold per-rank
-// partial maps in rank order (the serial append order of every per-path
-// table). Any cursor decode error fails the extraction; the lowest-ranked
-// error is reported.
-func ExtractCursorsCtx(ctx context.Context, cursors []RecordCursor, workers int) ([]*FileAccesses, error) {
-	defer startPass("extract")()
-	n := len(cursors)
-	if EffectiveWorkers(workers) <= 1 || n <= 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		files := make(map[string]*FileAccesses)
-		for rank, c := range cursors {
-			if err := extractCursor(c, files); err != nil {
-				return nil, fmt.Errorf("core: extracting rank %d: %w", rank, err)
-			}
-		}
-		out := sortedFiles(files)
-		for _, fa := range out {
-			annotate(fa)
-		}
-		return out, nil
-	}
-	partial := make([]map[string]*FileAccesses, n)
-	errs := make([]error, n)
-	if err := ParallelForCtx(ctx, n, workers, func(r int) {
-		m := make(map[string]*FileAccesses)
-		errs[r] = extractCursor(cursors[r], m)
-		partial[r] = m
-	}); err != nil {
-		return nil, err
-	}
-	for rank, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: extracting rank %d: %w", rank, err)
-		}
-	}
-	out := sortedFiles(mergePartials(partial))
-	if err := ParallelForCtx(ctx, len(out), workers, func(i int) { annotate(out[i]) }); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// mergePartials folds per-rank partial extraction maps in rank order, which
-// reproduces the serial append order of every per-path table.
-func mergePartials(partial []map[string]*FileAccesses) map[string]*FileAccesses {
-	merged := make(map[string]*FileAccesses)
-	for r := range partial {
-		for p, part := range partial[r] {
-			dst, ok := merged[p]
-			if !ok {
-				merged[p] = part
-				continue
-			}
-			dst.Intervals = append(dst.Intervals, part.Intervals...)
-			mergeTimes(dst.OpensByRank, part.OpensByRank)
-			mergeTimes(dst.ClosesByRank, part.ClosesByRank)
-			mergeTimes(dst.CommitsByRank, part.CommitsByRank)
-		}
-	}
-	return merged
+// slices: rank i's cursor plays the role of tr.PerRank[i], and the output is
+// byte-identical to Extract on the same records at every worker count.
+// Cursors are single-use and each is consumed by exactly one worker. Any
+// cursor decode error fails the extraction; the lowest-ranked error is
+// reported.
+func ExtractCursors(ctx context.Context, cursors []RecordCursor, workers int) ([]*FileAccesses, error) {
+	return extractRanks(ctx, len(cursors), workers, func(r int, files map[string]*FileAccesses) error {
+		return extractCursor(cursors[r], files)
+	})
 }

@@ -27,7 +27,7 @@ import (
 
 // Sweep telemetry: per-configuration wall-clock histogram and outcome
 // counters, plus one span per configuration (lane 0; the worker-pool lanes
-// underneath come from core.ParallelForCtx). Names: experiments.config.*.
+// underneath come from core.ParallelFor). Names: experiments.config.*.
 var (
 	configWall   = obs.Default().Histogram("experiments.config.wall_ns")
 	configOK     = obs.Default().Counter("experiments.config.ok")
@@ -146,7 +146,7 @@ func runConfigsCtx(ctx context.Context, cfgs []*apps.Config, s Scale, o SweepOpt
 			}
 		}
 	}
-	ctxErr := core.ParallelForCtx(ctx, len(cfgs), o.Workers, func(i int) {
+	ctxErr := core.ParallelFor(ctx, len(cfgs), o.Workers, func(i int) {
 		if skip[i] {
 			return
 		}
@@ -270,16 +270,18 @@ func RunOne(name string, s Scale) (*harness.Result, error) {
 // Table1 renders the static PFS categorization.
 func Table1() string { return report.Table1() }
 
+// The renderers below run each pass on one worker under a background
+// context, so the passes cannot fail and their errors are dropped.
+
 // Table3 classifies every configuration's trace and renders the pattern
 // matrix.
 func Table3(r *Results) string {
+	ctx := context.Background()
 	var rows []report.Table3Row
 	for _, name := range r.Ordered {
-		fas := core.ExtractShared(r.ByName[name].Trace)
-		rows = append(rows, report.Table3Row{
-			Config:   name,
-			Patterns: core.ClassifyHighLevel(fas, core.HLOptions{WorldSize: r.Scale.Ranks}),
-		})
+		fas, _ := core.ExtractSharedCtx(ctx, r.ByName[name].Trace, 1)
+		patterns, _ := core.ClassifyHighLevel(ctx, fas, core.HLOptions{WorldSize: r.Scale.Ranks}, 1)
+		rows = append(rows, report.Table3Row{Config: name, Patterns: patterns})
 	}
 	return report.Table3(rows)
 }
@@ -292,10 +294,12 @@ func Table4(r *Results) string {
 
 // Table4Rows computes the Table 4 signatures for every configuration.
 func Table4Rows(r *Results) []report.Table4Row {
+	ctx := context.Background()
 	var rows []report.Table4Row
 	for _, name := range r.Ordered {
 		tr := r.ByName[name].Trace
-		ms := core.AnalyzeConflictsAll(tr, pfs.Session, pfs.Commit)
+		fas, _ := core.ExtractSharedCtx(ctx, tr, 1)
+		ms, _ := core.Conflicts(ctx, fas, []pfs.Semantics{pfs.Session, pfs.Commit}, 1)
 		rows = append(rows, report.Table4Row{
 			Config: name, Library: tr.Meta.Library,
 			Session: ms[0].Signature, Commit: ms[1].Signature,
@@ -316,14 +320,13 @@ func Table5() string {
 // Figure1 renders the access-pattern mixes; returns the text figure and the
 // CSV series.
 func Figure1(r *Results) (string, string) {
+	ctx := context.Background()
 	var rows []report.Figure1Row
 	for _, name := range r.Ordered {
-		fas := core.ExtractShared(r.ByName[name].Trace)
-		rows = append(rows, report.Figure1Row{
-			Config: name,
-			Global: core.GlobalPattern(fas),
-			Local:  core.LocalPattern(fas),
-		})
+		fas, _ := core.ExtractSharedCtx(ctx, r.ByName[name].Trace, 1)
+		global, _ := core.GlobalPattern(ctx, fas, 1)
+		local, _ := core.LocalPattern(ctx, fas, 1)
+		rows = append(rows, report.Figure1Row{Config: name, Global: global, Local: local})
 	}
 	return report.Figure1(rows), report.Figure1CSV(rows)
 }
@@ -339,7 +342,7 @@ func Figure2(r *Results) map[string]string {
 		if !ok {
 			continue
 		}
-		fas := core.ExtractShared(res.Trace)
+		fas, _ := core.ExtractSharedCtx(context.Background(), res.Trace, 1)
 		chkCSV := report.Figure2CSVOf(fas, "/flash_hdf5_chk_0000")
 		panels["flash_"+variant+"_checkpoint.csv"] = chkCSV
 		panels["flash_"+variant+"_plot.csv"] = report.Figure2CSVOf(fas, "/flash_hdf5_plt_cnt_0000")
@@ -369,10 +372,8 @@ func filterCSVRank(csv string, rank int) string {
 func Figure3(r *Results) string {
 	var rows []report.Figure3Row
 	for _, name := range r.Ordered {
-		rows = append(rows, report.Figure3Row{
-			Config: name,
-			Census: core.MetadataCensus(r.ByName[name].Trace),
-		})
+		census, _ := core.MetadataCensus(context.Background(), r.ByName[name].Trace, 1)
+		rows = append(rows, report.Figure3Row{Config: name, Census: census})
 	}
 	return report.Figure3(rows)
 }
@@ -384,10 +385,11 @@ func VerdictsReport(r *Results) string {
 		Verdict core.Verdict
 	}, 0, len(r.Ordered))
 	for _, name := range r.Ordered {
+		v, _ := core.Analyze(context.Background(), r.ByName[name].Trace, 1)
 		rows = append(rows, struct {
 			Config  string
 			Verdict core.Verdict
-		}{name, core.Analyze(r.ByName[name].Trace)})
+		}{name, v})
 	}
 	return report.Verdicts(rows)
 }
@@ -407,7 +409,7 @@ func MetaTable(r *Results) string {
 		return ""
 	}
 	for _, name := range r.Ordered {
-		cs := core.DetectMetadataConflicts(r.ByName[name].Trace)
+		cs, _ := core.DetectMetadataConflicts(context.Background(), r.ByName[name].Trace, 1)
 		sig := core.MetaSignatureOf(cs)
 		fmt.Fprintf(&b, "%-20s  %-10s  %-10s  %-10s  %d\n",
 			name, mark(sig.CreateUse), mark(sig.RemoveUse), mark(sig.ResizeUse), len(cs))

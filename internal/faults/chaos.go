@@ -160,7 +160,7 @@ func Sweep(ctx context.Context, o SweepOptions) (*Report, error) {
 	}
 	out := make([]Cell, len(cells))
 	viols := make([][]Violation, len(cells))
-	err := core.ParallelForCtx(ctx, len(cells), o.Workers, func(i int) {
+	err := core.ParallelFor(ctx, len(cells), o.Workers, func(i int) {
 		k := cells[i]
 		out[i], viols[i] = runChaosCell(o, o.Apps[k.app], o.Semantics[k.sem], o.Seeds[k.seed])
 	})
@@ -225,7 +225,7 @@ func runChaosCell(o SweepOptions, app string, sem pfs.Semantics, seed uint64) (C
 	}
 
 	// Invariant 4: the faulted trace must still analyze.
-	verdict, err := core.AnalyzeParallelCtx(context.Background(), res.Trace, o.Workers)
+	verdict, err := core.Analyze(context.Background(), res.Trace, o.Workers)
 	if err != nil {
 		cell.Err = err
 		violate("analysis failed on faulted trace: %v", err)

@@ -2,6 +2,7 @@ package colfmt
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"path/filepath"
 
@@ -14,8 +15,8 @@ import (
 // cursor-based decoding: columnar ranks stay memory-mapped and decode
 // zero-copy through their cursors; v1 ranks are materialized once behind a
 // slice cursor (the compatibility shim). Feed Cursors() to
-// core.ExtractCursors (or core.ExtractCursorsSharedCtx keyed by the
-// DirReader) to run extraction without ever building Trace.PerRank.
+// core.ExtractCursors to run extraction without ever building
+// Trace.PerRank.
 type DirReader struct {
 	Meta    recorder.Meta
 	streams []dirStream
@@ -37,7 +38,7 @@ func OpenDirOn(b storage.Backend, dir string, workers int) (*DirReader, error) {
 	}
 	d := &DirReader{Meta: meta, streams: make([]dirStream, meta.Ranks)}
 	errs := make([]error, meta.Ranks)
-	core.ParallelFor(meta.Ranks, workers, func(rank int) {
+	core.ParallelFor(context.Background(), meta.Ranks, workers, func(rank int) {
 		errs[rank] = d.openStream(b, dir, rank)
 	})
 	for rank, err := range errs {

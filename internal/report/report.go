@@ -4,6 +4,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -186,9 +187,11 @@ func writeBar(b *strings.Builder, label string, m core.PatternMix) {
 // Figure2CSV emits the FLASH access-over-time scatter data of Figure 2 for
 // the write operations of one file: time_us, rank, offset, bytes. The
 // separate checkpoint/plot files and fbs/nofbs variants give the six panels.
-// Extraction goes through the process-wide cache.
+// Extraction goes through the process-wide cache on one worker, under a
+// background context, so it cannot fail.
 func Figure2CSV(tr *recorder.Trace, path string) string {
-	return Figure2CSVOf(core.ExtractShared(tr), path)
+	fas, _ := core.ExtractSharedCtx(context.Background(), tr, 1)
+	return Figure2CSVOf(fas, path)
 }
 
 // Figure2CSVOf is Figure2CSV over pre-extracted accesses.

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -43,9 +44,11 @@ type FileReport struct {
 
 // BuildRunReport computes the digest for a trace, extracting through the
 // process-wide cache (so a report after an analysis pays no second
-// extraction).
+// extraction). A miss extracts on one worker under a background context,
+// which cannot fail.
 func BuildRunReport(tr *recorder.Trace) *RunReport {
-	return BuildRunReportFrom(tr, core.ExtractShared(tr))
+	fas, _ := core.ExtractSharedCtx(context.Background(), tr, 1)
+	return BuildRunReportFrom(tr, fas)
 }
 
 // BuildRunReportFrom computes the digest from pre-extracted accesses —

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -13,9 +14,10 @@ import (
 // standalone SVG (the visual form of the paper's Figure 2 panels), with one
 // color per rank and marker size scaled by access size. Pure stdlib — the
 // SVG is assembled textually. Extraction goes through the process-wide
-// cache.
+// cache on one worker, under a background context, so it cannot fail.
 func Figure2SVG(tr *recorder.Trace, path, title string) string {
-	return Figure2SVGOf(core.ExtractShared(tr), path, title)
+	fas, _ := core.ExtractSharedCtx(context.Background(), tr, 1)
+	return Figure2SVGOf(fas, path, title)
 }
 
 // Figure2SVGOf is Figure2SVG over pre-extracted accesses.

@@ -21,6 +21,7 @@ package semfs
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/apps"
@@ -158,29 +159,29 @@ type Analysis struct {
 }
 
 // Analyze runs the full paper analysis over a trace. This is the serial
-// reference path — the oracle AnalyzeParallel is tested against — so every
-// pass here is strictly sequential and per-model (no fused sweep, no
-// extraction cache): the trace is extracted once up front and each model's
-// conflicts are detected independently.
+// reference path — the oracle AnalyzeParallelCtx is tested against — so
+// every pass runs on one worker and conflicts are detected per model (no
+// fused sweep, no extraction cache): the trace is extracted once up front
+// and each model's conflicts are detected independently. The passes can
+// only fail on a cancelled context, which a background context never is.
 func Analyze(tr *recorder.Trace) *Analysis {
-	fas := core.Extract(tr)
-	sessionByFile, sessionSig := core.ConflictsOverFiles(fas, pfs.Session)
-	commitByFile, commitSig := core.ConflictsOverFiles(fas, pfs.Commit)
-	metaConflicts := core.DetectMetadataConflicts(tr)
-	return &Analysis{
-		Verdict:          core.VerdictFrom(sessionSig, commitSig),
-		SessionConflicts: sessionByFile,
-		CommitConflicts:  commitByFile,
-		Patterns:         core.ClassifyHighLevel(fas, core.HLOptions{WorldSize: tr.Meta.Ranks}),
-		Global:           core.GlobalPattern(fas),
-		Local:            core.LocalPattern(fas),
-		Census:           core.MetadataCensus(tr),
-		MetaConflicts:    metaConflicts,
-		MetaSignature:    core.MetaSignatureOf(metaConflicts),
-	}
+	ctx := context.Background()
+	fas, _ := core.Extract(ctx, tr, 1)
+	an := &Analysis{}
+	var sessionSig, commitSig core.ConflictSignature
+	an.SessionConflicts, sessionSig = core.ConflictsOverFiles(fas, pfs.Session)
+	an.CommitConflicts, commitSig = core.ConflictsOverFiles(fas, pfs.Commit)
+	an.Verdict = core.VerdictFrom(sessionSig, commitSig)
+	an.Patterns, _ = core.ClassifyHighLevel(ctx, fas, core.HLOptions{WorldSize: tr.Meta.Ranks}, 1)
+	an.Global, _ = core.GlobalPattern(ctx, fas, 1)
+	an.Local, _ = core.LocalPattern(ctx, fas, 1)
+	an.Census, _ = core.MetadataCensus(ctx, tr, 1)
+	an.MetaConflicts, _ = core.DetectMetadataConflicts(ctx, tr, 1)
+	an.MetaSignature = core.MetaSignatureOf(an.MetaConflicts)
+	return an
 }
 
-// AnalyzeParallel runs the same analysis concurrently: the trace is
+// AnalyzeParallelCtx runs the same analysis concurrently: the trace is
 // extracted once with rank-sharded extraction (through the process-wide
 // extraction cache, so repeated analyses of one trace share the work), then
 // the four independent passes (fused session+commit conflict sweep, pattern
@@ -190,15 +191,10 @@ func Analyze(tr *recorder.Trace) *Analysis {
 // merge is deterministic, so the result is identical to Analyze — the
 // serial path stays the correctness oracle (see
 // TestAnalyzeParallelMatchesSerial).
-func AnalyzeParallel(tr *recorder.Trace, workers int) *Analysis {
-	an, _ := AnalyzeParallelCtx(context.Background(), tr, workers)
-	return an
-}
-
-// AnalyzeParallelCtx is AnalyzeParallel under a context: cancellation stops
-// every pass within one task boundary (no new per-file or per-rank task
-// starts once ctx is done) and the call returns ctx.Err() instead of a
-// partial Analysis.
+//
+// Cancellation stops every pass within one task boundary (no new per-file
+// or per-rank task starts once ctx is done) and the call returns ctx.Err()
+// instead of a partial Analysis.
 func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*Analysis, error) {
 	fas, err := core.ExtractSharedCtx(ctx, tr, workers)
 	if err != nil {
@@ -224,7 +220,7 @@ func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*
 		}()
 	}
 	launch(0, "conflicts", func() error {
-		ms, err := core.ConflictsAllForFilesCtx(ctx, fas, []pfs.Semantics{pfs.Session, pfs.Commit}, workers)
+		ms, err := core.Conflicts(ctx, fas, []pfs.Semantics{pfs.Session, pfs.Commit}, workers)
 		if err != nil {
 			return err
 		}
@@ -233,21 +229,21 @@ func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*
 		return nil
 	})
 	launch(1, "patterns", func() (err error) {
-		if an.Patterns, err = core.ClassifyHighLevelParallelCtx(ctx, fas, core.HLOptions{WorldSize: tr.Meta.Ranks}, workers); err != nil {
+		if an.Patterns, err = core.ClassifyHighLevel(ctx, fas, core.HLOptions{WorldSize: tr.Meta.Ranks}, workers); err != nil {
 			return err
 		}
-		if an.Global, err = core.GlobalPatternParallelCtx(ctx, fas, workers); err != nil {
+		if an.Global, err = core.GlobalPattern(ctx, fas, workers); err != nil {
 			return err
 		}
-		an.Local, err = core.LocalPatternParallelCtx(ctx, fas, workers)
+		an.Local, err = core.LocalPattern(ctx, fas, workers)
 		return err
 	})
 	launch(2, "census", func() (err error) {
-		an.Census, err = core.MetadataCensusParallelCtx(ctx, tr, workers)
+		an.Census, err = core.MetadataCensus(ctx, tr, workers)
 		return err
 	})
 	launch(3, "meta-conflicts", func() (err error) {
-		if an.MetaConflicts, err = core.DetectMetadataConflictsParallelCtx(ctx, tr, workers); err != nil {
+		if an.MetaConflicts, err = core.DetectMetadataConflicts(ctx, tr, workers); err != nil {
 			return err
 		}
 		an.MetaSignature = core.MetaSignatureOf(an.MetaConflicts)
@@ -267,18 +263,23 @@ func AnalyzeParallelCtx(ctx context.Context, tr *recorder.Trace, workers int) (*
 }
 
 // ValidateSynchronization performs the §5.2 check: every conflict detected
-// under session semantics must be ordered by the application's MPI
-// synchronization. It returns the unordered pairs (nil for race-free
-// applications).
-func ValidateSynchronization(tr *recorder.Trace) ([]core.Conflict, error) {
+// under session semantics (an.SessionConflicts, from Analyze or
+// AnalyzeParallelCtx over tr) must be ordered by the application's MPI
+// synchronization. It returns the unordered pairs in path order (nil for
+// race-free applications).
+func ValidateSynchronization(tr *recorder.Trace, an *Analysis) ([]core.Conflict, error) {
 	hb, err := core.BuildHB(tr)
 	if err != nil {
 		return nil, err
 	}
-	byFile, _ := core.ConflictsOverFiles(core.ExtractShared(tr), pfs.Session)
+	paths := make([]string, 0, len(an.SessionConflicts))
+	for p := range an.SessionConflicts {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
 	var unordered []core.Conflict
-	for _, cs := range byFile {
-		unordered = append(unordered, core.ValidateConflicts(hb, cs)...)
+	for _, p := range paths {
+		unordered = append(unordered, core.ValidateConflicts(hb, an.SessionConflicts[p])...)
 	}
 	return unordered, nil
 }

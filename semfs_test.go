@@ -6,6 +6,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/recorder"
@@ -83,12 +85,58 @@ func TestValidateSynchronization(t *testing.T) {
 	if err != nil || res.Err() != nil {
 		t.Fatal(err, res.Err())
 	}
-	unordered, err := ValidateSynchronization(res.Trace)
+	unordered, err := ValidateSynchronization(res.Trace, Analyze(res.Trace))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(unordered) != 0 {
 		t.Fatalf("FLASH conflicts not synchronized: %v", unordered[0])
+	}
+}
+
+// TestValidateSynchronizationPathOrder: unsynchronized writes to several
+// files come back in path order, identically on every call.
+func TestValidateSynchronizationPathOrder(t *testing.T) {
+	res, err := RunCustom("racy", RunOptions{Ranks: 2, PPN: 1}, func(ctx *Ctx) error {
+		for _, p := range []string{"/e", "/b", "/d", "/a", "/c"} {
+			fd, err := ctx.OS.Open(p, recorder.OCreat|recorder.OWronly, 0o644)
+			if err != nil {
+				return err
+			}
+			if _, err := ctx.OS.Pwrite(fd, make([]byte, 64), 0); err != nil {
+				return err
+			}
+			if err := ctx.OS.Close(fd); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil || res.Err() != nil {
+		t.Fatal(err, res.Err())
+	}
+	an := Analyze(res.Trace)
+	var first []string
+	for call := 0; call < 30; call++ {
+		unordered, err := ValidateSynchronization(res.Trace, an)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var paths []string
+		for _, c := range unordered {
+			paths = append(paths, c.Path)
+		}
+		if !sort.StringsAreSorted(paths) {
+			t.Fatalf("call %d: unordered pairs not in path order: %v", call, paths)
+		}
+		if call == 0 {
+			if len(paths) < 5 {
+				t.Fatalf("expected unsynchronized pairs on 5 files, got %v", paths)
+			}
+			first = paths
+		} else if !reflect.DeepEqual(paths, first) {
+			t.Fatalf("call %d: %v, first call %v", call, paths, first)
+		}
 	}
 }
 
